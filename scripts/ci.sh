@@ -3,7 +3,7 @@
 #
 #   ./scripts/ci.sh           # release: build (-Werror), ctest (incl. the
 #                             # eend_lint tree gate), lint JSON report,
-#                             # bench smokes, jobs determinism checks
+#                             # bench/figure smokes, jobs determinism checks
 #   ./scripts/ci.sh asan      # ASan+UBSan Debug: build, full ctest,
 #                             # --jobs=8 eend_run smoke under the sanitizer
 #   ./scripts/ci.sh tsan      # TSan Debug: same, exercising ParallelRunner
@@ -55,20 +55,27 @@ echo "== determinism lint (JSON artifact) =="
 test -s LINT_report.json
 echo "OK: tree is lint-clean, wrote LINT_report.json"
 
-echo "== bench smokes (--quick, one per figure family) =="
+echo "== figure smokes (--quick, one per figure family) =="
+# Paper figures run from their manifests; Fig 7 and Figs 8-10 are covered
+# by the manifest-engine determinism step at the end.
 run() {
   echo "-- $*"
   local bin="$1"
   shift
   "./build/bench/$bin" "$@" > /dev/null
 }
-run bench_fig7_characteristic_hop_count              # analytic: m_opt curves
+run_manifest() {
+  echo "-- eend_run $*"
+  local m="$1"
+  shift
+  ./build/tools/eend_run --manifest "examples/manifests/$m.json" --quick \
+    --quiet --jobs=0 --csv=none --jsonl=none "$@" > /dev/null
+}
 run bench_table1_radio_cards                         # analytic: card registry
 run bench_sec3_steiner_case_studies                  # analytic: Steiner cases
-run bench_fig8_delivery_small --quick --quiet --jobs=0   # small-net sims (Figs 8-10)
-run bench_fig11_delivery_large --quick --quiet --jobs=0  # large-net sims (Figs 11-12)
-run bench_fig13_hypo_low_perfect --quick --quiet --jobs=0  # grid study (Figs 13-16)
-run bench_table2_density --quick --quiet --jobs=0    # density sweep (Table 2)
+run_manifest large_field                             # large-net sims (Figs 10-12)
+run_manifest hypo_grid --only=fig13                  # grid study (Figs 13-16)
+run_manifest table2_density                          # density sweep (Table 2)
 run bench_ablation_design_knobs --quick --quiet --jobs=0   # ablations
 run bench_ext_lifetime --quick --quiet --jobs=0      # lifetime extension
 
@@ -191,11 +198,16 @@ echo "== spatial index: 2k-node huge_field smoke (eend_run --quick) =="
 grep -q "Huge field" /tmp/eend_huge.out
 echo "OK: 2k-node field simulated end-to-end"
 
-echo "== parallel determinism: jobs=1 vs jobs=4 must match byte-for-byte =="
-./build/bench/bench_fig8_delivery_small --quick --quiet --jobs=1 > /tmp/eend_j1.out
-./build/bench/bench_fig8_delivery_small --quick --quiet --jobs=4 > /tmp/eend_j4.out
-cmp /tmp/eend_j1.out /tmp/eend_j4.out
-echo "OK: tables identical"
+echo "== grid kind: quick hypo_grid fig13, jobs=1 vs jobs=8 =="
+for j in 1 8; do
+  ./build/tools/eend_run --manifest examples/manifests/hypo_grid.json \
+    --quick --quiet --only=fig13 --csv="/tmp/eend_hg_j$j.csv" \
+    --jsonl="/tmp/eend_hg_j$j.jsonl" --jobs="$j" > "/tmp/eend_hg_j$j.out"
+done
+cmp /tmp/eend_hg_j1.out /tmp/eend_hg_j8.out
+cmp /tmp/eend_hg_j1.csv /tmp/eend_hg_j8.csv
+cmp /tmp/eend_hg_j1.jsonl /tmp/eend_hg_j8.jsonl
+echo "OK: grid kind byte-identical for jobs=1 and jobs=8"
 
 echo "== manifest engine: eend_run reproduces Fig 7, CSV/JSONL deterministic =="
 ./build/tools/eend_run --manifest examples/manifests/fig7_small.json \

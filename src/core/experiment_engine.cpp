@@ -25,59 +25,121 @@ namespace eend::core {
 namespace {
 
 /// Short simulations used by --quick when the experiment does not specify
-/// its own quick.duration_s — matches the bench binaries' --quick.
+/// its own quick.duration_s.
 constexpr double kQuickDurationS = 120.0;
 
-MetricValue sim_metric(const ExperimentResult& r, const std::string& name) {
+MetricValue metric_value(const std::string& name, const SampleStats& s) {
   MetricValue out;
   out.name = name;
-  const auto from_stats = [&](const SampleStats& s) {
-    out.mean = s.mean;
-    out.ci95 = s.ci95_half_width;
-    out.n = s.n;
-  };
-  const auto from_raw = [&](auto pick) {
-    std::vector<double> xs;
-    xs.reserve(r.raw.size());
-    for (const auto& run : r.raw) xs.push_back(pick(run));
-    from_stats(summarize(xs));
-  };
-  if (name == "delivery_ratio") from_stats(r.delivery_ratio);
-  else if (name == "goodput_bit_per_j") from_stats(r.goodput_bit_per_j);
-  else if (name == "transmit_energy_j") from_stats(r.transmit_energy_j);
-  else if (name == "total_energy_j") from_stats(r.total_energy_j);
-  else if (name == "control_energy_j") from_stats(r.control_energy_j);
-  else if (name == "passive_energy_j") from_stats(r.passive_energy_j);
-  else if (name == "nodes_carrying_data") from_stats(r.nodes_carrying_data);
-  else if (name == "rreq_transmissions")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.rreq_transmissions);
-    });
-  else if (name == "mac_collisions")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_collisions);
-    });
-  else if (name == "mac_cs_drops")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_cs_drops);
-    });
-  else if (name == "mac_defers_exhausted")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_defers_exhausted);
-    });
-  else if (name == "mac_stale_bcast_drops")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_stale_bcast_drops);
-    });
-  else if (name == "mac_unicast_failures")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_unicast_failures);
-    });
-  else if (name == "average_delay_s")
-    from_raw([](const metrics::RunResult& x) { return x.average_delay_s; });
-  else
-    EEND_REQUIRE_MSG(false, "unknown sim metric \"" << name << "\"");
+  out.mean = s.mean;
+  out.ci95 = s.ci95_half_width;
+  out.n = s.n;
   return out;
+}
+
+/// Mean and CI of one metric over a row's replications; pick(run) reads
+/// replication `run`'s value.
+template <class Pick>
+MetricValue summarize_runs(const std::string& name, std::size_t runs,
+                           Pick pick) {
+  std::vector<double> xs;
+  xs.reserve(runs);
+  for (std::size_t run = 0; run < runs; ++run) xs.push_back(pick(run));
+  return metric_value(name, summarize(xs));
+}
+
+ResultRow make_row(const Experiment& e, std::string series,
+                   std::string x_name, double x, std::size_t runs,
+                   std::uint64_t seed) {
+  ResultRow row;
+  row.experiment = e.id;
+  row.kind = kind_name(e.kind);
+  row.series = std::move(series);
+  row.x_name = std::move(x_name);
+  row.x = x;
+  row.runs = runs;
+  row.seed = seed;
+  return row;
+}
+
+std::vector<net::StackSpec> resolve_stacks(const Experiment& e) {
+  std::vector<net::StackSpec> out;
+  out.reserve(e.stacks.size());
+  for (const auto& name : e.stacks) out.push_back(net::stack_preset(name));
+  return out;
+}
+
+MetricValue sim_metric(const ExperimentResult& r, const std::string& name) {
+  const auto from_raw = [&](auto pick) {
+    return summarize_runs(name, r.raw.size(), [&](std::size_t i) {
+      return static_cast<double>(pick(r.raw[i]));
+    });
+  };
+  if (name == "delivery_ratio") return metric_value(name, r.delivery_ratio);
+  if (name == "goodput_bit_per_j")
+    return metric_value(name, r.goodput_bit_per_j);
+  if (name == "transmit_energy_j")
+    return metric_value(name, r.transmit_energy_j);
+  if (name == "total_energy_j") return metric_value(name, r.total_energy_j);
+  if (name == "control_energy_j")
+    return metric_value(name, r.control_energy_j);
+  if (name == "passive_energy_j")
+    return metric_value(name, r.passive_energy_j);
+  if (name == "nodes_carrying_data")
+    return metric_value(name, r.nodes_carrying_data);
+  using Run = metrics::RunResult;
+  if (name == "rreq_transmissions")
+    return from_raw([](const Run& x) { return x.rreq_transmissions; });
+  if (name == "mac_collisions")
+    return from_raw([](const Run& x) { return x.mac_collisions; });
+  if (name == "mac_cs_drops")
+    return from_raw([](const Run& x) { return x.mac_cs_drops; });
+  if (name == "mac_defers_exhausted")
+    return from_raw([](const Run& x) { return x.mac_defers_exhausted; });
+  if (name == "mac_stale_bcast_drops")
+    return from_raw([](const Run& x) { return x.mac_stale_bcast_drops; });
+  if (name == "mac_unicast_failures")
+    return from_raw([](const Run& x) { return x.mac_unicast_failures; });
+  if (name == "average_delay_s")
+    return from_raw([](const Run& x) { return x.average_delay_s; });
+  EEND_REQUIRE_MSG(false, "unknown sim metric \"" << name << "\"");
+  return {};
+}
+
+/// One (node count, replication) cell of the instance kinds (design,
+/// replay, churn), listed n-major: cells [ni*runs, (ni+1)*runs) feed the
+/// rows at node count ni.
+struct InstanceCell {
+  std::size_t n = 0;
+  std::size_t run = 0;
+};
+
+std::vector<InstanceCell> instance_cells(const std::vector<std::size_t>& nodes,
+                                         std::size_t runs) {
+  std::vector<InstanceCell> cells;
+  for (const std::size_t n : nodes)
+    for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
+  return cells;
+}
+
+opt::DesignInstanceSpec instance_spec(const Experiment& e,
+                                      const InstanceCell& cell,
+                                      std::uint64_t base_seed) {
+  opt::DesignInstanceSpec spec;
+  spec.node_count = cell.n;
+  spec.demand_count = e.demands;
+  spec.seed = base_seed + cell.run;
+  spec.demand_weights = e.demand_weights;
+  spec.presolve = e.presolve;
+  spec.field_scale = e.field_scale;
+  return spec;
+}
+
+/// make_design_instance under an "instance.build" span on the cell's lane.
+opt::DesignInstance build_instance(const opt::DesignInstanceSpec& spec,
+                                   std::uint32_t tid) {
+  obs::PhaseTimer t_build("instance.build", obs::kPidCell, tid);
+  return opt::make_design_instance(spec);
 }
 
 // ------------------------------------------------- design-search cells ---
@@ -168,6 +230,84 @@ MetricValue grid_metric(const GridSeries& s, const GridPoint& p,
   return out;
 }
 
+// Per-replication samples of the instance kinds, and the name -> value
+// pick each kind's rows summarize across replications.
+
+struct DesignSample {
+  double total = 0.0, data = 0.0, idle = 0.0, gap = 0.0, relays = 0.0,
+         wall = 0.0;
+  // Presolve-only columns (e.presolve gates the metrics that read them).
+  double lb = 0.0, cert_gap = 0.0, rnodes = 0.0, redges = 0.0;
+};
+
+double design_metric(const DesignSample& s, const std::string& name,
+                     bool presolve) {
+  if (name == "eq5_total") return s.total;
+  if (name == "eq5_data") return s.data;
+  if (name == "eq5_idle") return s.idle;
+  if (name == "gap_vs_klein_ravi") return s.gap;
+  if (name == "relay_nodes") return s.relays;
+  if (name == "wall_time_s") return s.wall;
+  if (name == "lb" || name == "certified_gap_pct" ||
+      name == "reduced_nodes" || name == "reduced_edges") {
+    // parse_metrics already rejects these without presolve; guard
+    // against programmatic Experiment structs skipping validation.
+    EEND_REQUIRE_MSG(presolve, "design metric \"" << name
+                                   << "\" requires presolve=true");
+    if (name == "lb") return s.lb;
+    if (name == "certified_gap_pct") return s.cert_gap;
+    if (name == "reduced_nodes") return s.rnodes;
+    return s.redges;
+  }
+  EEND_REQUIRE_MSG(false, "unknown design metric \"" << name << "\"");
+  return 0.0;
+}
+
+double replay_metric(const replay::ReplayReport& rep,
+                     const std::string& name) {
+  if (name == "analytic_eq5_j") return rep.analytic_energy_j;
+  if (name == "sim_energy_j") return rep.sim_energy_j;
+  if (name == "analytic_gap_pct") return rep.gap_pct;
+  if (name == "sim_j_per_kbit") return rep.sim_j_per_kbit;
+  if (name == "delivery_ratio") return rep.delivery_ratio;
+  if (name == "first_death_s") return rep.first_death_s;
+  if (name == "depleted_nodes")
+    return static_cast<double>(rep.depleted_nodes);
+  if (name == "active_nodes") return static_cast<double>(rep.active_nodes);
+  if (name == "max_node_load_j") return rep.max_node_load_j;
+  EEND_REQUIRE_MSG(false, "unknown replay metric \"" << name << "\"");
+  return 0.0;
+}
+
+struct ChurnSample {
+  double warm = 0.0, cold = 0.0, gap = 0.0, events = 0.0, rerouted = 0.0,
+         fellback = 0.0, active = 0.0, live = 0.0, warm_wall = 0.0,
+         cold_wall = 0.0, replay_gap = 0.0;
+};
+
+double churn_metric(const ChurnSample& s, const std::string& name,
+                    bool replays) {
+  if (name == "warm_score") return s.warm;
+  if (name == "cold_score") return s.cold;
+  if (name == "gap_vs_cold_pct") return s.gap;
+  if (name == "events_applied") return s.events;
+  if (name == "rerouted_demands") return s.rerouted;
+  if (name == "fallbacks") return s.fellback;
+  if (name == "active_nodes") return s.active;
+  if (name == "live_demands") return s.live;
+  if (name == "warm_wall_s") return s.warm_wall;
+  if (name == "cold_wall_s") return s.cold_wall;
+  if (name == "replay_gap_pct") {
+    // parse_metrics already rejects this without replay epochs; guard
+    // programmatic Experiment structs skipping validation.
+    EEND_REQUIRE_MSG(replays, "churn metric \"replay_gap_pct\" requires "
+                              "replay_every > 0");
+    return s.replay_gap;
+  }
+  EEND_REQUIRE_MSG(false, "unknown churn metric \"" << name << "\"");
+  return 0.0;
+}
+
 }  // namespace
 
 void ExperimentEngine::run(const Manifest& m) {
@@ -196,6 +336,26 @@ void ExperimentEngine::run(const Experiment& e) {
   if (opts_.counters) exp_counters_.write_jsonl(*opts_.counters, e.id);
 }
 
+void ExperimentEngine::fan_out(
+    const char* label, std::size_t count,
+    const std::function<std::string(std::size_t)>& fn) {
+  std::vector<obs::CounterSnapshot> snaps(count);
+  std::mutex io_m;
+  ParallelRunner pool(opts_.jobs);
+  pool.set_span_label(label);
+  pool.for_each_index(count, [&](std::size_t i) {
+    obs::CounterRegistry reg;
+    const obs::ScopedRegistry scope(&reg);
+    const std::string line = fn(i);
+    snaps[i] = reg.snapshot();
+    if (opts_.progress) {
+      std::lock_guard<std::mutex> lk(io_m);
+      note(line);
+    }
+  });
+  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
+}
+
 void ExperimentEngine::emit(const ResultRow& r) {
   for (ResultSink* s : sinks_) s->row(r);
 }
@@ -206,19 +366,25 @@ void ExperimentEngine::note(const std::string& line) {
 
 net::ScenarioConfig ExperimentEngine::resolve_scenario(
     const Experiment& e, std::optional<std::size_t> node_count) const {
-  net::ScenarioConfig sc;
-  if (e.scenario_config) {
-    sc = *e.scenario_config;
-    if (node_count) sc.node_count = *node_count;
-  } else {
-    ScenarioSpec spec = e.scenario;
-    if (node_count) spec.node_count = node_count;
-    sc = spec.resolve();
-  }
+  ScenarioSpec spec = e.scenario;
+  if (node_count) spec.node_count = node_count;
+  net::ScenarioConfig sc = spec.resolve();
   if (opts_.quick)
     sc.duration_s =
         std::min(sc.duration_s, e.quick.duration_s.value_or(kQuickDurationS));
   return sc;
+}
+
+const std::vector<double>& ExperimentEngine::rate_axis(
+    const Experiment& e) const {
+  return (opts_.quick && e.quick.rates_pps) ? *e.quick.rates_pps
+                                            : e.rates_pps;
+}
+
+const std::vector<std::size_t>& ExperimentEngine::node_axis(
+    const Experiment& e) const {
+  return (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
+                                              : e.node_counts;
 }
 
 std::size_t ExperimentEngine::effective_runs(const Experiment& e) const {
@@ -231,15 +397,6 @@ std::uint64_t ExperimentEngine::effective_seed(const Experiment& e) const {
   return opts_.seed_override ? *opts_.seed_override : e.seed;
 }
 
-std::vector<net::StackSpec> ExperimentEngine::resolve_stacks(
-    const Experiment& e) {
-  if (e.stack_specs) return *e.stack_specs;
-  std::vector<net::StackSpec> out;
-  out.reserve(e.stacks.size());
-  for (const auto& name : e.stacks) out.push_back(net::stack_preset(name));
-  return out;
-}
-
 void ExperimentEngine::run_sweep(const Experiment& e) {
   ExperimentConfig cfg;
   cfg.scenario = resolve_scenario(e);
@@ -248,9 +405,7 @@ void ExperimentEngine::run_sweep(const Experiment& e) {
   cfg.jobs = opts_.jobs;
 
   const std::vector<net::StackSpec> stacks = resolve_stacks(e);
-
-  const std::vector<double>& rates =
-      (opts_.quick && e.quick.rates_pps) ? *e.quick.rates_pps : e.rates_pps;
+  const std::vector<double>& rates = rate_axis(e);
 
   StackProgressFn progress;
   if (opts_.progress)
@@ -268,14 +423,8 @@ void ExperimentEngine::run_sweep(const Experiment& e) {
 
   for (std::size_t ri = 0; ri < rates.size(); ++ri) {
     for (std::size_t si = 0; si < stacks.size(); ++si) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = stacks[si].label;
-      row.x_name = "rate_pps";
-      row.x = rates[ri];
-      row.runs = cfg.runs;
-      row.seed = cfg.base_seed;
+      ResultRow row = make_row(e, stacks[si].label, "rate_pps", rates[ri],
+                               cfg.runs, cfg.base_seed);
       for (const MetricSpec& m : e.metrics)
         row.metrics.push_back(sim_metric(results[si][ri], m.name));
       emit(row);
@@ -284,9 +433,7 @@ void ExperimentEngine::run_sweep(const Experiment& e) {
 }
 
 void ExperimentEngine::run_density(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
+  const std::vector<std::size_t>& nodes = node_axis(e);
   const std::vector<net::StackSpec> stacks = resolve_stacks(e);
 
   // All (node count × stack) cells share one pool so wide density tables
@@ -316,14 +463,10 @@ void ExperimentEngine::run_density(const Experiment& e) {
   for (const auto& r : results) exp_counters_.merge_from(r.counters);
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    ResultRow row;
-    row.experiment = e.id;
-    row.kind = kind_name(e.kind);
-    row.series = cells[i].stack.label;
-    row.x_name = "nodes";
-    row.x = static_cast<double>(cells[i].scenario.node_count);
-    row.runs = cells[i].runs;
-    row.seed = cells[i].base_seed;
+    ResultRow row = make_row(
+        e, cells[i].stack.label, "nodes",
+        static_cast<double>(cells[i].scenario.node_count), cells[i].runs,
+        cells[i].base_seed);
     for (const MetricSpec& m : e.metrics)
       row.metrics.push_back(sim_metric(results[i], m.name));
     emit(row);
@@ -336,39 +479,20 @@ void ExperimentEngine::run_grid(const Experiment& e) {
   sc.seed = effective_seed(e);
 
   const std::vector<net::StackSpec> stacks = resolve_stacks(e);
-
-  const std::vector<double>& rates =
-      (opts_.quick && e.quick.rates_pps) ? *e.quick.rates_pps : e.rates_pps;
+  const std::vector<double>& rates = rate_axis(e);
 
   // One base-rate simulation per stack; fan out, keep stack order.
   std::vector<GridSeries> series(stacks.size());
-  std::vector<obs::CounterSnapshot> snaps(stacks.size());
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("grid.series");
-  pool.for_each_index(stacks.size(), [&](std::size_t i) {
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
+  fan_out("grid.series", stacks.size(), [&](std::size_t i) {
     series[i] = grid_series(sc, stacks[i], rates);
-    snaps[i] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] " + stacks[i].label + " done (" +
-           std::to_string(series[i].active_nodes.size()) + " active nodes)");
-    }
+    return "  [" + e.title + "] " + stacks[i].label + " done (" +
+           std::to_string(series[i].active_nodes.size()) + " active nodes)";
   });
-  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
 
   for (std::size_t ri = 0; ri < rates.size(); ++ri) {
     for (std::size_t si = 0; si < series.size(); ++si) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = series[si].label;
-      row.x_name = "rate_pps";
-      row.x = rates[ri];
-      row.runs = 1;
-      row.seed = sc.seed;
+      ResultRow row =
+          make_row(e, series[si].label, "rate_pps", rates[ri], 1, sc.seed);
       for (const MetricSpec& m : e.metrics)
         row.metrics.push_back(
             grid_metric(series[si], series[si].points[ri], m.name));
@@ -378,15 +502,9 @@ void ExperimentEngine::run_grid(const Experiment& e) {
 }
 
 void ExperimentEngine::run_design(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
+  const std::vector<std::size_t>& nodes = node_axis(e);
   const std::size_t runs = effective_runs(e);
   const std::uint64_t base_seed = effective_seed(e);
-
-  opt::HeuristicOptions ho;
-  ho.starts = e.starts;
-  ho.anneal_iterations = e.anneal_iters;
 
   // All (node count x instance) cells are independent; fan them across the
   // pool into pre-sized slots so --jobs helps even without a portfolio
@@ -394,49 +512,26 @@ void ExperimentEngine::run_design(const Experiment& e) {
   // a single cell hands the whole pool to the portfolio's multi-starts.
   // Either way every heuristic is jobs-invariant, so output bytes never
   // depend on the split.
-  struct Cell {
-    std::size_t n = 0;
-    std::size_t run = 0;
-  };
-  std::vector<Cell> cells;
-  for (const std::size_t n : nodes)
-    for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
+  const std::vector<InstanceCell> cells = instance_cells(nodes, runs);
+  opt::HeuristicOptions ho;
+  ho.starts = e.starts;
+  ho.anneal_iterations = e.anneal_iters;
   ho.jobs = cells.size() > 1 ? 1 : opts_.jobs;
 
-  // Per-cell results: [cell][heuristic] -> this instance's metric values.
-  struct Sample {
-    double total = 0.0, data = 0.0, idle = 0.0, gap = 0.0, relays = 0.0,
-           wall = 0.0;
-    // Presolve-only columns (e.presolve gates the metrics that read them).
-    double lb = 0.0, cert_gap = 0.0, rnodes = 0.0, redges = 0.0;
-  };
-  std::vector<std::vector<Sample>> samples(cells.size());
-  std::vector<obs::CounterSnapshot> snaps(cells.size());
-
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("design.cell");
-  pool.for_each_index(cells.size(), [&](std::size_t ci) {
+  // samples[cell][heuristic]
+  std::vector<std::vector<DesignSample>> samples(cells.size());
+  fan_out("design.cell", cells.size(), [&](std::size_t ci) {
     const std::uint32_t tid = static_cast<std::uint32_t>(ci) + 1;
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
-    const Cell& cell = cells[ci];
-    opt::DesignInstanceSpec spec;
-    spec.node_count = cell.n;
-    spec.demand_count = e.demands;
-    spec.seed = base_seed + cell.run;
-    spec.presolve = e.presolve;
-    spec.field_scale = e.field_scale;
-    obs::PhaseTimer t_build("instance.build", obs::kPidCell, tid);
-    const opt::DesignInstance inst = opt::make_design_instance(spec);
-    t_build.stop();
+    const InstanceCell& cell = cells[ci];
+    const opt::DesignInstanceSpec spec = instance_spec(e, cell, base_seed);
+    const opt::DesignInstance inst = build_instance(spec, tid);
 
     const CellSearchResult sr =
         search_design_cell(inst, e.heuristics, ho, spec.seed, cell.n, tid);
     samples[ci].resize(e.heuristics.size());
     for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi) {
       const opt::CandidateDesign& cand = sr.designs[hi];
-      Sample& s = samples[ci][hi];
+      DesignSample& s = samples[ci][hi];
       s.total = cand.cost();
       s.data = cand.score.data;
       s.idle = cand.score.idle;
@@ -451,73 +546,30 @@ void ExperimentEngine::run_design(const Experiment& e) {
         s.redges = static_cast<double>(inst.presolve->reduced_edges);
       }
     }
-    snaps[ci] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cell.n) +
-           " instance " + std::to_string(cell.run + 1) + "/" +
-           std::to_string(runs) + " done");
-    }
+    return "  [" + e.title + "] n=" + std::to_string(cell.n) + " instance " +
+           std::to_string(cell.run + 1) + "/" + std::to_string(runs) +
+           " done";
   });
-  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
 
   // Aggregate per (n, heuristic) across instances; emission is n-major,
   // heuristic-minor in manifest order, independent of scheduling.
   for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
     for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = e.heuristics[hi];
-      row.x_name = "nodes";
-      row.x = static_cast<double>(nodes[ni]);
-      row.runs = runs;
-      row.seed = base_seed;
-      const auto metric_of = [&](const std::string& name) {
-        std::vector<double> xs;
-        xs.reserve(runs);
-        for (std::size_t run = 0; run < runs; ++run) {
-          const Sample& s = samples[ni * runs + run][hi];
-          if (name == "eq5_total") xs.push_back(s.total);
-          else if (name == "eq5_data") xs.push_back(s.data);
-          else if (name == "eq5_idle") xs.push_back(s.idle);
-          else if (name == "gap_vs_klein_ravi") xs.push_back(s.gap);
-          else if (name == "relay_nodes") xs.push_back(s.relays);
-          else if (name == "wall_time_s") xs.push_back(s.wall);
-          else if (name == "lb" || name == "certified_gap_pct" ||
-                   name == "reduced_nodes" || name == "reduced_edges") {
-            // parse_metrics already rejects these without presolve; guard
-            // against programmatic Experiment structs skipping validation.
-            EEND_REQUIRE_MSG(e.presolve, "design metric \""
-                                             << name
-                                             << "\" requires presolve=true");
-            if (name == "lb") xs.push_back(s.lb);
-            else if (name == "certified_gap_pct") xs.push_back(s.cert_gap);
-            else if (name == "reduced_nodes") xs.push_back(s.rnodes);
-            else xs.push_back(s.redges);
-          } else
-            EEND_REQUIRE_MSG(false,
-                             "unknown design metric \"" << name << "\"");
-        }
-        const SampleStats st = summarize(xs);
-        MetricValue mv;
-        mv.name = name;
-        mv.mean = st.mean;
-        mv.ci95 = st.ci95_half_width;
-        mv.n = st.n;
-        return mv;
-      };
+      ResultRow row = make_row(e, e.heuristics[hi], "nodes",
+                               static_cast<double>(nodes[ni]), runs,
+                               base_seed);
       for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(metric_of(m.name));
+        row.metrics.push_back(summarize_runs(m.name, runs, [&](std::size_t r) {
+          return design_metric(samples[ni * runs + r][hi], m.name,
+                               e.presolve);
+        }));
       emit(row);
     }
   }
 }
 
 void ExperimentEngine::run_replay(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
+  const std::vector<std::size_t>& nodes = node_axis(e);
   const std::size_t runs = effective_runs(e);
   const std::uint64_t base_seed = effective_seed(e);
 
@@ -530,13 +582,7 @@ void ExperimentEngine::run_replay(const Experiment& e) {
   settings.rate_pps = e.replay_rate_pps;
   settings.battery_capacity_j = e.battery_j;
 
-  struct Cell {
-    std::size_t n = 0;
-    std::size_t run = 0;
-  };
-  std::vector<Cell> cells;
-  for (const std::size_t n : nodes)
-    for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
+  const std::vector<InstanceCell> cells = instance_cells(nodes, runs);
 
   // Phase 1 — search: one instance per cell (shared Klein-Ravi tree), every
   // requested heuristic run under the joule-scaled replay objective, so the
@@ -551,26 +597,12 @@ void ExperimentEngine::run_replay(const Experiment& e) {
     std::vector<opt::CandidateDesign> designs;  // per heuristic
   };
   std::vector<CellState> state(cells.size());
-  std::vector<obs::CounterSnapshot> search_snaps(cells.size());
-
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("replay.search");
-  pool.for_each_index(cells.size(), [&](std::size_t ci) {
+  fan_out("replay.search", cells.size(), [&](std::size_t ci) {
     const std::uint32_t tid = static_cast<std::uint32_t>(ci) + 1;
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
-    const Cell& cell = cells[ci];
+    const InstanceCell& cell = cells[ci];
     CellState& st = state[ci];
-    st.spec.node_count = cell.n;
-    st.spec.demand_count = e.demands;
-    st.spec.seed = base_seed + cell.run;
-    st.spec.demand_weights = e.demand_weights;
-    st.spec.presolve = e.presolve;
-    st.spec.field_scale = e.field_scale;
-    obs::PhaseTimer t_build("instance.build", obs::kPidCell, tid);
-    st.instance = opt::make_design_instance(st.spec);
-    t_build.stop();
+    st.spec = instance_spec(e, cell, base_seed);
+    st.instance = build_instance(st.spec, tid);
 
     opt::HeuristicOptions ho;
     ho.eval = replay::replay_eq5_params(settings, st.spec.card);
@@ -581,93 +613,42 @@ void ExperimentEngine::run_replay(const Experiment& e) {
     st.designs = search_design_cell(st.instance, e.heuristics, ho,
                                     st.spec.seed, cell.n, tid)
                      .designs;
-    search_snaps[ci] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cell.n) + " instance " +
+    return "  [" + e.title + "] n=" + std::to_string(cell.n) + " instance " +
            std::to_string(cell.run + 1) + "/" + std::to_string(runs) +
-           " searched");
-    }
+           " searched";
   });
 
   // reports[cell * heuristics + heuristic]
-  std::vector<replay::ReplayReport> reports(cells.size() *
-                                            e.heuristics.size());
-  std::vector<obs::CounterSnapshot> replay_snaps(reports.size());
-  pool.set_span_label("replay.sim");
-  pool.for_each_index(reports.size(), [&](std::size_t i) {
-    const std::size_t ci = i / e.heuristics.size();
-    const std::size_t hi = i % e.heuristics.size();
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
+  const std::size_t hs = e.heuristics.size();
+  std::vector<replay::ReplayReport> reports(cells.size() * hs);
+  fan_out("replay.sim", reports.size(), [&](std::size_t i) {
+    const std::size_t ci = i / hs;
+    const std::size_t hi = i % hs;
     const CellState& st = state[ci];
     reports[i] = replay::replay_design(st.spec, st.instance, st.designs[hi],
                                        settings);
-    replay_snaps[i] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cells[ci].n) + " " +
+    return "  [" + e.title + "] n=" + std::to_string(cells[ci].n) + " " +
            e.heuristics[hi] + " instance " +
            std::to_string(cells[ci].run + 1) + "/" + std::to_string(runs) +
-           " replayed");
-    }
+           " replayed";
   });
-  for (const obs::CounterSnapshot& s : search_snaps)
-    exp_counters_.merge_from(s);
-  for (const obs::CounterSnapshot& s : replay_snaps)
-    exp_counters_.merge_from(s);
 
   for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-    for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = e.heuristics[hi];
-      row.x_name = "nodes";
-      row.x = static_cast<double>(nodes[ni]);
-      row.runs = runs;
-      row.seed = base_seed;
-      const auto metric_of = [&](const std::string& name) {
-        std::vector<double> xs;
-        xs.reserve(runs);
-        for (std::size_t run = 0; run < runs; ++run) {
-          const replay::ReplayReport& rep =
-              reports[(ni * runs + run) * e.heuristics.size() + hi];
-          if (name == "analytic_eq5_j") xs.push_back(rep.analytic_energy_j);
-          else if (name == "sim_energy_j") xs.push_back(rep.sim_energy_j);
-          else if (name == "analytic_gap_pct") xs.push_back(rep.gap_pct);
-          else if (name == "sim_j_per_kbit") xs.push_back(rep.sim_j_per_kbit);
-          else if (name == "delivery_ratio") xs.push_back(rep.delivery_ratio);
-          else if (name == "first_death_s") xs.push_back(rep.first_death_s);
-          else if (name == "depleted_nodes")
-            xs.push_back(static_cast<double>(rep.depleted_nodes));
-          else if (name == "active_nodes")
-            xs.push_back(static_cast<double>(rep.active_nodes));
-          else if (name == "max_node_load_j")
-            xs.push_back(rep.max_node_load_j);
-          else
-            EEND_REQUIRE_MSG(false,
-                             "unknown replay metric \"" << name << "\"");
-        }
-        const SampleStats st2 = summarize(xs);
-        MetricValue mv;
-        mv.name = name;
-        mv.mean = st2.mean;
-        mv.ci95 = st2.ci95_half_width;
-        mv.n = st2.n;
-        return mv;
-      };
+    for (std::size_t hi = 0; hi < hs; ++hi) {
+      ResultRow row = make_row(e, e.heuristics[hi], "nodes",
+                               static_cast<double>(nodes[ni]), runs,
+                               base_seed);
       for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(metric_of(m.name));
+        row.metrics.push_back(summarize_runs(m.name, runs, [&](std::size_t r) {
+          return replay_metric(reports[(ni * runs + r) * hs + hi], m.name);
+        }));
       emit(row);
     }
   }
 }
 
 void ExperimentEngine::run_churn(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
+  const std::vector<std::size_t>& nodes = node_axis(e);
   const std::size_t epochs =
       (opts_.quick && e.quick.epochs) ? *e.quick.epochs : e.epochs;
   const std::size_t runs = effective_runs(e);
@@ -686,42 +667,16 @@ void ExperimentEngine::run_churn(const Experiment& e) {
   // serving loop serially (epoch k+1 needs epoch k's design), so the fan
   // is across cells. Pre-sized per-epoch slots + a single emission pass
   // after the pool keep output bytes independent of --jobs.
-  struct Cell {
-    std::size_t n = 0;
-    std::size_t run = 0;
-  };
-  std::vector<Cell> cells;
-  for (const std::size_t n : nodes)
-    for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
+  const std::vector<InstanceCell> cells = instance_cells(nodes, runs);
   const std::size_t inner_jobs = cells.size() > 1 ? 1 : opts_.jobs;
 
-  struct Sample {
-    double warm = 0.0, cold = 0.0, gap = 0.0, events = 0.0,
-           rerouted = 0.0, fellback = 0.0, active = 0.0, live = 0.0,
-           warm_wall = 0.0, cold_wall = 0.0, replay_gap = 0.0;
-  };
   // samples[cell][epoch]
-  std::vector<std::vector<Sample>> samples(cells.size());
-  std::vector<obs::CounterSnapshot> snaps(cells.size());
-
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("churn.cell");
-  pool.for_each_index(cells.size(), [&](std::size_t ci) {
+  std::vector<std::vector<ChurnSample>> samples(cells.size());
+  fan_out("churn.cell", cells.size(), [&](std::size_t ci) {
     const std::uint32_t tid = static_cast<std::uint32_t>(ci) + 1;
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
-    const Cell& cell = cells[ci];
-    opt::DesignInstanceSpec spec;
-    spec.node_count = cell.n;
-    spec.demand_count = e.demands;
-    spec.seed = base_seed + cell.run;
-    spec.demand_weights = e.demand_weights;
-    spec.presolve = e.presolve;
-    spec.field_scale = e.field_scale;
-    obs::PhaseTimer t_build("instance.build", obs::kPidCell, tid);
-    const opt::DesignInstance inst = opt::make_design_instance(spec);
-    t_build.stop();
+    const InstanceCell& cell = cells[ci];
+    const opt::DesignInstanceSpec spec = instance_spec(e, cell, base_seed);
+    const opt::DesignInstance inst = build_instance(spec, tid);
 
     churn::TraceSpec trace;
     trace.epochs = epochs;
@@ -769,7 +724,7 @@ void ExperimentEngine::run_churn(const Experiment& e) {
     serving = opt::evaluate_design(inst.problem, serving.nodes, objective,
                                    nullptr, &serving_routes);
     {
-      Sample& s = samples[ci][0];
+      ChurnSample& s = samples[ci][0];
       s.warm = s.cold = serving.cost();
       s.rerouted = static_cast<double>(serving_routes.routes.size());
       s.active = static_cast<double>(serving.nodes.size());
@@ -819,7 +774,7 @@ void ExperimentEngine::run_churn(const Experiment& e) {
 
       const auto [cold, cold_wall] = cold_solve(problem, pre_ptr);
 
-      Sample& s = samples[ci][epoch];
+      ChurnSample& s = samples[ci][epoch];
       s.warm = wr.design.cost();
       s.cold = cold.cost();
       s.gap = 100.0 * (s.warm - s.cold) / s.cold;
@@ -851,64 +806,23 @@ void ExperimentEngine::run_churn(const Experiment& e) {
       serving_routes = std::move(next_routes);
     }
 
-    snaps[ci] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cell.n) + " trace " +
+    return "  [" + e.title + "] n=" + std::to_string(cell.n) + " trace " +
            std::to_string(cell.run + 1) + "/" + std::to_string(runs) +
-           " served (" + std::to_string(epochs) + " epochs)");
-    }
+           " served (" + std::to_string(epochs) + " epochs)";
   });
-  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
 
   // Aggregate per (n, epoch) across traces; emission is n-major,
   // epoch-minor, independent of scheduling.
   for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
     for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = "n=" + std::to_string(nodes[ni]);
-      row.x_name = "epoch";
-      row.x = static_cast<double>(epoch);
-      row.runs = runs;
-      row.seed = base_seed;
-      const auto metric_of = [&](const std::string& name) {
-        std::vector<double> xs;
-        xs.reserve(runs);
-        for (std::size_t run = 0; run < runs; ++run) {
-          const Sample& s = samples[ni * runs + run][epoch];
-          if (name == "warm_score") xs.push_back(s.warm);
-          else if (name == "cold_score") xs.push_back(s.cold);
-          else if (name == "gap_vs_cold_pct") xs.push_back(s.gap);
-          else if (name == "events_applied") xs.push_back(s.events);
-          else if (name == "rerouted_demands") xs.push_back(s.rerouted);
-          else if (name == "fallbacks") xs.push_back(s.fellback);
-          else if (name == "active_nodes") xs.push_back(s.active);
-          else if (name == "live_demands") xs.push_back(s.live);
-          else if (name == "warm_wall_s") xs.push_back(s.warm_wall);
-          else if (name == "cold_wall_s") xs.push_back(s.cold_wall);
-          else if (name == "replay_gap_pct") {
-            // parse_metrics already rejects this without replay epochs;
-            // guard programmatic Experiment structs skipping validation.
-            EEND_REQUIRE_MSG(e.replay_every > 0,
-                             "churn metric \"replay_gap_pct\" requires "
-                             "replay_every > 0");
-            xs.push_back(s.replay_gap);
-          } else
-            EEND_REQUIRE_MSG(false,
-                             "unknown churn metric \"" << name << "\"");
-        }
-        const SampleStats st = summarize(xs);
-        MetricValue mv;
-        mv.name = name;
-        mv.mean = st.mean;
-        mv.ci95 = st.ci95_half_width;
-        mv.n = st.n;
-        return mv;
-      };
+      ResultRow row =
+          make_row(e, "n=" + std::to_string(nodes[ni]), "epoch",
+                   static_cast<double>(epoch), runs, base_seed);
       for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(metric_of(m.name));
+        row.metrics.push_back(summarize_runs(m.name, runs, [&](std::size_t r) {
+          return churn_metric(samples[ni * runs + r][epoch], m.name,
+                              e.replay_every > 0);
+        }));
       emit(row);
     }
   }
@@ -931,14 +845,7 @@ void ExperimentEngine::run_mopt(const Experiment& e) {
 
   for (const double rb : e.rb) {
     for (const Curve& cv : curves) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = cv.legend;
-      row.x_name = "rb";
-      row.x = rb;
-      row.runs = 1;
-      row.seed = 0;
+      ResultRow row = make_row(e, cv.legend, "rb", rb, 1, 0);
       for (const MetricSpec& m : e.metrics) {
         MetricValue mv;
         mv.name = m.name;

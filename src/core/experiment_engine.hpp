@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/manifest.hpp"
@@ -46,7 +48,7 @@ class ExperimentEngine {
   /// Execute every experiment in manifest order.
   void run(const Manifest& m);
 
-  /// Execute one experiment (benches drive single figures this way).
+  /// Execute one experiment.
   void run(const Experiment& e);
 
  private:
@@ -58,6 +60,14 @@ class ExperimentEngine {
   void run_replay(const Experiment& e);
   void run_churn(const Experiment& e);
 
+  /// Run fn(i) for every cell i in [0, count) on a --jobs pool, one
+  /// `label` trace span per cell. Each cell counts into its own registry;
+  /// the snapshots merge into exp_counters_ in index order, so counters are
+  /// --jobs-invariant. fn writes its results into caller-owned slots keyed
+  /// by i and returns the cell's progress line.
+  void fan_out(const char* label, std::size_t count,
+               const std::function<std::string(std::size_t)>& fn);
+
   void emit(const ResultRow& r);
   /// Resolve the experiment's scenario; density cells pass their node
   /// count so presets that derive other parameters from it (huge_field
@@ -65,7 +75,9 @@ class ExperimentEngine {
   net::ScenarioConfig resolve_scenario(
       const Experiment& e,
       std::optional<std::size_t> node_count = std::nullopt) const;
-  static std::vector<net::StackSpec> resolve_stacks(const Experiment& e);
+  /// The x-axes with the experiment's --quick overrides applied.
+  const std::vector<double>& rate_axis(const Experiment& e) const;
+  const std::vector<std::size_t>& node_axis(const Experiment& e) const;
   std::size_t effective_runs(const Experiment& e) const;
   std::uint64_t effective_seed(const Experiment& e) const;
   void note(const std::string& line);

@@ -1397,11 +1397,11 @@ std::vector<std::string> Manifest::experiment_summaries() const {
     switch (e.kind) {
       case ExperimentKind::Sweep:
       case ExperimentKind::Grid:
-        series = e.stack_specs ? e.stack_specs->size() : e.stacks.size();
+        series = e.stacks.size();
         xs = e.rates_pps.size();
         break;
       case ExperimentKind::Density:
-        series = e.stack_specs ? e.stack_specs->size() : e.stacks.size();
+        series = e.stacks.size();
         xs = e.node_counts.size();
         break;
       case ExperimentKind::Mopt:

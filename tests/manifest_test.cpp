@@ -2,6 +2,8 @@
 // and the machine-readable result sinks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 
 #include "core/experiment_engine.hpp"
@@ -413,6 +415,29 @@ TEST(Manifest, SerializeParseRoundTripIsAFixedPoint) {
     const Manifest m2 = Manifest::parse(canon);
     EXPECT_EQ(canon, m2.serialize()) << "for manifest: " << text;
     EXPECT_TRUE(m1.to_json() == m2.to_json()) << "for manifest: " << text;
+  }
+}
+
+#ifndef EEND_MANIFEST_DIR
+#error "EEND_MANIFEST_DIR must point at examples/manifests"
+#endif
+
+// The shipped manifests are the only way the paper's figures are produced,
+// so each must load, list its experiments and round-trip canonically.
+TEST(Manifest, EveryShippedManifestLoadsAndRoundTrips) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(EEND_MANIFEST_DIR))
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const auto& path : files) {
+    SCOPED_TRACE(path.filename().string());
+    Manifest m1;
+    ASSERT_NO_THROW(m1 = Manifest::load(path.string()));
+    const std::string canon = m1.serialize();
+    EXPECT_EQ(canon, Manifest::parse(canon).serialize());
+    EXPECT_FALSE(m1.experiment_summaries().empty());
   }
 }
 
