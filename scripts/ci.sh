@@ -123,9 +123,10 @@ echo "OK: replay kind byte-identical for jobs=1 and jobs=8"
 
 echo "== design churn: warm-start serving-loop bench (JSON artifact) =="
 # Self-asserting floors: the warm repair must beat the from-scratch
-# portfolio by >= 3x summed over perturbed epochs (measured 4-8x in
-# --quick mode), stay within 5% of its score at every epoch, and presolve
-# on/off must produce identical designs (asserted inside the bench).
+# portfolio by >= 3x summed over perturbed epochs (measured 9.6x at n=100
+# and 13.5x at n=50 in --quick mode), stay within 5% of its score at every
+# epoch, and presolve on/off must produce identical designs (asserted
+# inside the bench).
 ./build/bench/bench_design_churn --quick --quiet \
   --assert-min-warm-speedup=3.0 --assert-max-gap-pct=5.0 \
   --json=BENCH_design_churn.json > /dev/null
@@ -159,6 +160,12 @@ test -s /tmp/eend_dc_j1.trace.json
 cp /tmp/eend_dc_j1.counters.jsonl COUNTERS_design_churn.jsonl
 cp /tmp/eend_dc_j1.trace.json TRACE_design_churn.json
 echo "OK: counters cover sim/opt/churn, wrote COUNTERS_design_churn.jsonl + TRACE_design_churn.json"
+
+echo "== benchmark: determinism self-test on the design workloads =="
+# Two traced perfbench runs per workload must agree on every counter and
+# quality value; design_cold and churn_serve cover the Klein-Ravi spider
+# scan and the routing Dijkstra.
+python3 perfbench/selftest.py design_cold churn_serve
 
 echo "== event core: ladder-queue vs baseline-heap bench (JSON artifact) =="
 # Self-asserting floors: conservative bounds (measured ~4.8x / ~59M ops/s

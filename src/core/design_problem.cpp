@@ -81,16 +81,12 @@ std::optional<std::vector<analytical::RoutedDemand>>
 NetworkDesignProblem::try_route_in_subgraph(
     const std::vector<graph::NodeId>& allowed_nodes,
     std::size_t* failed_demand) const {
-  std::vector<bool> allowed(graph_.node_count(), allowed_nodes.empty());
+  std::vector<char> allowed(graph_.node_count(), allowed_nodes.empty());
   for (graph::NodeId v : allowed_nodes) allowed[v] = true;
 
-  // Shortest paths restricted to allowed nodes: block forbidden nodes with
-  // an infinite entry cost (Dijkstra never expands them, so the search is
-  // O(allowed subgraph), not O(full graph)).
-  const auto node_cost = [&](graph::NodeId v) {
-    return allowed[v] ? 0.0 : graph::kInfCost;
-  };
-
+  // Shortest paths restricted to allowed nodes: Dijkstra never enters a
+  // masked node and stops once the destination settles, so a search costs
+  // at most O(allowed subgraph), not O(full graph).
   std::vector<analytical::RoutedDemand> routes;
   for (std::size_t i = 0; i < demands_.size(); ++i) {
     const auto& d = demands_[i];
@@ -98,7 +94,7 @@ NetworkDesignProblem::try_route_in_subgraph(
       if (failed_demand) *failed_demand = i;
       return std::nullopt;
     }
-    const auto spt = graph::dijkstra(graph_, d.source, node_cost);
+    const auto spt = graph::dijkstra(graph_, d.source, allowed, d.destination);
     analytical::RoutedDemand rd;
     rd.demand = d;
     rd.packets = d.rate;
@@ -134,11 +130,8 @@ NetworkDesignProblem::try_route_in_subgraph_cached(
   }();
   if (!usable) return try_route_in_subgraph(allowed_nodes, failed_demand);
 
-  std::vector<bool> allowed(graph_.node_count(), allowed_nodes.empty());
+  std::vector<char> allowed(graph_.node_count(), allowed_nodes.empty());
   for (graph::NodeId v : allowed_nodes) allowed[v] = true;
-  const auto node_cost = [&](graph::NodeId v) {
-    return allowed[v] ? 0.0 : graph::kInfCost;
-  };
 
   std::vector<analytical::RoutedDemand> routes;
   for (std::size_t i = 0; i < demands_.size(); ++i) {
@@ -161,8 +154,8 @@ NetworkDesignProblem::try_route_in_subgraph_cached(
       rd.path = c.path;
     } else {
       obs::count("opt.cache.route_misses");
-      const auto spt = graph::dijkstra(graph_, d.source, node_cost);
-      rd.path = spt.path_to(d.destination);
+      rd.path = graph::dijkstra(graph_, d.source, allowed, d.destination)
+                    .path_to(d.destination);
       if (rd.path.empty()) {
         if (failed_demand) *failed_demand = i;
         return std::nullopt;

@@ -27,15 +27,12 @@ ShortestPathTree make_tree(const Graph& g, NodeId source) {
   t.distance[source] = 0.0;
   return t;
 }
-
-double enter_cost(const NodeCostFn& node_cost, NodeId v) {
-  return node_cost ? node_cost(v) : 0.0;
-}
 }  // namespace
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const NodeCostFn& node_cost) {
+                          std::span<const char> allowed, NodeId target) {
   ShortestPathTree t = make_tree(g, source);
+  EEND_REQUIRE(allowed.empty() || allowed.size() == g.node_count());
   using Item = std::pair<double, NodeId>;  // (distance, node)
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   pq.emplace(0.0, source);
@@ -43,10 +40,12 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source,
     const auto [d, u] = pq.top();
     pq.pop();
     if (d > t.distance[u]) continue;  // stale entry
+    if (u == target) break;           // settled: its path is final
     for (const auto& [v, e] : g.neighbors(u)) {
+      if (!allowed.empty() && !allowed[v]) continue;
       const double w = g.edge(e).weight;
       EEND_CHECK_MSG(w >= 0.0, "Dijkstra requires non-negative weights");
-      const double nd = d + w + enter_cost(node_cost, v);
+      const double nd = d + w;
       if (nd < t.distance[v]) {
         t.distance[v] = nd;
         t.parent[v] = u;
@@ -57,8 +56,7 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source,
   return t;
 }
 
-ShortestPathTree bellman_ford(const Graph& g, NodeId source,
-                              const NodeCostFn& node_cost) {
+ShortestPathTree bellman_ford(const Graph& g, NodeId source) {
   ShortestPathTree t = make_tree(g, source);
   const std::size_t n = g.node_count();
   for (std::size_t round = 0; round + 1 < n; ++round) {
@@ -66,8 +64,7 @@ ShortestPathTree bellman_ford(const Graph& g, NodeId source,
     for (const Edge& e : g.edges()) {
       auto relax = [&](NodeId from, NodeId to) {
         if (t.distance[from] == kInfCost) return;
-        const double nd =
-            t.distance[from] + e.weight + enter_cost(node_cost, to);
+        const double nd = t.distance[from] + e.weight;
         if (nd < t.distance[to]) {
           t.distance[to] = nd;
           t.parent[to] = from;

@@ -1,11 +1,10 @@
 // Shortest-path algorithms over Graph: Dijkstra (primary) and Bellman-Ford
-// (used as a test oracle). Both operate on edge weights; an optional
-// node-cost hook lets callers fold node weights into path costs, which the
-// joint-optimization routing metric h(u,v,r) requires.
+// (used as a test oracle). Both operate on edge weights. Dijkstra can be
+// restricted to an allowed node set and stopped early at a target, which is
+// how the design problem routes a demand inside a candidate subgraph.
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -24,20 +23,22 @@ struct ShortestPathTree {
   std::vector<NodeId> path_to(NodeId v) const;
 };
 
-/// Additional per-node cost charged when a path *enters* node v (not charged
-/// for source or destination). Used to express node-weighted problems on an
-/// edge-weighted solver; pass nullptr for pure edge-weighted paths.
-using NodeCostFn = std::function<double(NodeId)>;
-
 /// Dijkstra from `source`. Edge weights must be non-negative; throws
 /// CheckError otherwise (checked lazily as edges are relaxed).
+///
+/// `allowed` (empty = every node) masks the nodes a path may enter: a node
+/// v with allowed[v] == 0 is never reached, whatever its edges. The source
+/// is searched from regardless. With a `target`, the search stops once the
+/// target settles. Settled nodes never change distance or parent again, so
+/// distance[target] and path_to(target) equal a full run's; nodes that had
+/// not settled by then may hold tentative values.
 ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const NodeCostFn& node_cost = nullptr);
+                          std::span<const char> allowed = {},
+                          NodeId target = kInvalidNode);
 
 /// Bellman-Ford oracle; O(VE), tolerant of zero weights, used in tests to
 /// validate Dijkstra on random graphs.
-ShortestPathTree bellman_ford(const Graph& g, NodeId source,
-                              const NodeCostFn& node_cost = nullptr);
+ShortestPathTree bellman_ford(const Graph& g, NodeId source);
 
 /// Total edge weight of a node path (kInfCost if any hop is missing).
 double path_cost(const Graph& g, std::span<const NodeId> path);

@@ -1,6 +1,7 @@
 #include "graph/steiner.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <queue>
 #include <set>
@@ -58,6 +59,62 @@ SteinerTree assemble(const Graph& g, std::span<const NodeId> terminals,
                            [&](NodeId v) { return seen.count(v) > 0; });
   return t;
 }
+
+/// Node-weighted Dijkstra for the Klein-Ravi spider scan. Entering node v
+/// costs step[v]; the center is free (it is charged separately). Buffers
+/// live for one solve and are reset through the touched list, so a pruned
+/// run costs only what it visits.
+class SpiderSearch {
+ public:
+  SpiderSearch(const Graph& g, const std::vector<double>& step)
+      : g_(g),
+        step_(step),
+        dist_(g.node_count(), kInfCost),
+        parent_(g.node_count(), kInvalidNode) {}
+
+  /// Search from `center`, calling visit(u, dist) as each node settles, in
+  /// (dist, id) heap order; stops as soon as visit returns false.
+  template <class Visit>
+  void run(NodeId center, Visit&& visit) {
+    for (NodeId v : touched_) {
+      dist_[v] = kInfCost;
+      parent_[v] = kInvalidNode;
+    }
+    touched_.clear();
+    heap_.clear();
+    dist_[center] = 0.0;
+    touched_.push_back(center);
+    heap_.emplace_back(0.0, center);
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const auto [d, u] = heap_.back();
+      heap_.pop_back();
+      if (d > dist_[u]) continue;  // stale entry
+      if (!visit(u, d)) return;
+      for (const auto& [v, e] : g_.neighbors(u)) {
+        const double nd = d + step_[v];
+        if (nd < dist_[v]) {
+          if (dist_[v] == kInfCost) touched_.push_back(v);
+          dist_[v] = nd;
+          parent_[v] = u;
+          heap_.emplace_back(nd, v);
+          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        }
+      }
+    }
+  }
+
+  double dist(NodeId v) const { return dist_[v]; }
+  NodeId parent(NodeId v) const { return parent_[v]; }
+
+ private:
+  const Graph& g_;
+  const std::vector<double>& step_;
+  std::vector<double> dist_;
+  std::vector<NodeId> parent_;
+  std::vector<NodeId> touched_;
+  std::vector<std::pair<double, NodeId>> heap_;  ///< (dist, node) min-heap
+};
 
 }  // namespace
 
@@ -180,92 +237,72 @@ SteinerTree klein_ravi_steiner(const Graph& g,
                                std::span<const NodeId> terminals) {
   EEND_REQUIRE(!terminals.empty());
   for (NodeId t : terminals) EEND_REQUIRE(g.valid_node(t));
+  const std::size_t n = g.node_count();
 
-  // Node cost: terminals are free (c(si) = c(di) = 0 per the paper).
-  auto cost_of = [&](NodeId v) {
-    return is_terminal(terminals, v) ? 0.0 : g.node_weight(v);
-  };
-
-  // Components: start with each terminal alone. We track, per node, which
-  // component it belongs to (kInvalidNode = none yet). Selected nodes form
-  // the growing solution.
-  std::vector<NodeId> comp(g.node_count(), kInvalidNode);
-  std::set<NodeId> selected(terminals.begin(), terminals.end());
+  // comp[v]: the component of a selected node, kInvalidNode while v is
+  // unselected. Selected nodes form the growing solution; each terminal
+  // starts alone in its own component. step[v]: what a path pays to enter
+  // v, i.e. its weight, or 0 once selected (already paid for). Terminals
+  // start selected, so they are free (c(si) = c(di) = 0 per the paper).
+  std::vector<NodeId> comp(n, kInvalidNode);
+  std::vector<double> step(n);
+  for (NodeId v = 0; v < n; ++v) step[v] = g.node_weight(v);
   NodeId next_comp = 0;
   for (NodeId t : terminals)
-    if (comp[t] == kInvalidNode) comp[t] = next_comp++;
+    if (comp[t] == kInvalidNode) {
+      comp[t] = next_comp++;
+      step[t] = 0.0;
+    }
+  // The scan's pruning (below) needs legs to grow along a search.
+  for (NodeId v = 0; v < n; ++v)
+    EEND_REQUIRE_MSG(step[v] >= 0.0, "node weights must be non-negative");
   std::size_t active_components = next_comp;
 
-  // Node-weighted shortest path FROM a candidate spider center v to each
-  // component: weight of a path = sum of costs of intermediate nodes (both
-  // endpoints excluded; the center is charged separately).
-  auto spider_paths = [&](NodeId center) {
-    // Dijkstra where entering node u costs cost_of(u), except entering a
-    // node already in `selected` costs 0 (it is already paid for).
-    std::vector<double> dist(g.node_count(), kInfCost);
-    std::vector<NodeId> par(g.node_count(), kInvalidNode);
-    using Item = std::pair<double, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-    dist[center] = 0.0;
-    pq.emplace(0.0, center);
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
-      if (d > dist[u]) continue;
-      for (const auto& [v, e] : g.neighbors(u)) {
-        (void)e;
-        const double step = selected.count(v) ? 0.0 : cost_of(v);
-        const double nd = d + step;
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          par[v] = u;
-          pq.emplace(nd, v);
-        }
-      }
-    }
-    return std::make_pair(std::move(dist), std::move(par));
-  };
-
+  SpiderSearch search(g, step);
+  std::vector<char> has_leg(next_comp, 0);  // per component, per center
+  std::vector<NodeId> leg_comps;            // components with has_leg set
   while (active_components > 1) {
+    // Scan every center for the best (center cost + legs) / #legs ratio
+    // over spider degrees >= 2, keeping the first center and degree that
+    // reach it. A center's legs are its node-weighted distances to the
+    // components, nearest first. They arrive in that order as the search
+    // settles nodes, so the running sum equals the sum over the sorted
+    // full distance list, bit for bit. The search stops once no later
+    // leg can strictly beat the best ratio: with d the distance just
+    // settled and R the running ratio (infinite with no legs), every later
+    // ratio is >= min(R, d), and > R once d > R (R was itself a candidate
+    // when there are >= 2 legs). kPruneEps dwarfs the rounding of a sum of
+    // at most #components legs, so no strictly better ratio is skipped.
+    constexpr double kPruneEps = 1e-9;
     double best_ratio = kInfCost;
     NodeId best_center = kInvalidNode;
-    std::vector<NodeId> best_targets;  // one representative node per comp
-
-    for (NodeId center = 0; center < g.node_count(); ++center) {
-      auto [dist, par] = spider_paths(center);
-      (void)par;  // only the winning center's parents are needed (below)
-      // Cheapest touch-point per component.
-      std::map<NodeId, std::pair<double, NodeId>> comp_best;
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        if (comp[v] == kInvalidNode || dist[v] == kInfCost) continue;
-        auto it = comp_best.find(comp[v]);
-        if (it == comp_best.end() || dist[v] < it->second.first)
-          comp_best[comp[v]] = {dist[v], v};
-      }
-      if (comp_best.size() < 2) continue;
-      std::vector<std::pair<double, NodeId>> legs;
-      legs.reserve(comp_best.size());
-      for (const auto& [c, leg] : comp_best) {
-        (void)c;
-        legs.push_back(leg);
-      }
-      std::sort(legs.begin(), legs.end());
-      // Try spider degrees 2..all, pick the best cost/#components ratio.
-      const double center_cost = selected.count(center) ? 0.0 : cost_of(center);
-      double acc = center_cost;
-      for (std::size_t i = 0; i < legs.size(); ++i) {
-        acc += legs[i].first;
-        const std::size_t deg = i + 1;
-        if (deg < 2) continue;
-        const double ratio = acc / static_cast<double>(deg);
-        if (ratio < best_ratio) {
-          best_ratio = ratio;
-          best_center = center;
-          best_targets.clear();
-          for (std::size_t j = 0; j <= i; ++j)
-            best_targets.push_back(legs[j].second);
+    std::size_t best_degree = 0;
+    for (NodeId center = 0; center < n; ++center) {
+      double acc = step[center];
+      std::size_t legs = 0;
+      search.run(center, [&](NodeId u, double d) {
+        const double r =
+            legs == 0 ? kInfCost : acc / static_cast<double>(legs);
+        if (std::min(r, d) > best_ratio * (1.0 + kPruneEps)) return false;
+        if (legs >= 2 && d > r * (1.0 + kPruneEps)) return false;
+        const NodeId c = comp[u];
+        if (c == kInvalidNode || has_leg[c]) return true;
+        has_leg[c] = 1;
+        leg_comps.push_back(c);
+        acc += d;
+        ++legs;
+        if (legs >= 2) {
+          const double ratio = acc / static_cast<double>(legs);
+          if (ratio < best_ratio) {
+            best_ratio = ratio;
+            best_center = center;
+            best_degree = legs;
+          }
         }
-      }
+        return legs < active_components;
+      });
+      for (NodeId c : leg_comps) has_leg[c] = 0;
+      leg_comps.clear();
     }
 
     if (best_center == kInvalidNode) {
@@ -273,46 +310,56 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       break;
     }
 
-    // Re-derive the winning spider's parent links with one extra Dijkstra
-    // (`selected` is unchanged since the argmin scan, so the run is
-    // identical) instead of copying the N-sized parent vector on every
-    // ratio improvement inside the O(centers × merges) loop.
-    const std::vector<NodeId> best_parent = spider_paths(best_center).second;
+    // The scan settled equal-distance nodes of a component in pop order,
+    // which need not be id order (selected nodes are entered at cost 0).
+    // One full run from the winner picks each component's touch point as
+    // its (distance, id)-least node, sorts, and keeps the nearest
+    // `best_degree`; its parent links give the spider's paths.
+    search.run(best_center, [](NodeId, double) { return true; });
+    std::vector<std::pair<double, NodeId>> targets(
+        next_comp, {kInfCost, kInvalidNode});
+    for (NodeId v = 0; v < n; ++v)
+      if (comp[v] != kInvalidNode && search.dist(v) < targets[comp[v]].first)
+        targets[comp[v]] = {search.dist(v), v};
+    std::erase_if(targets,
+                  [](const auto& t) { return t.second == kInvalidNode; });
+    std::sort(targets.begin(), targets.end());
+    targets.resize(best_degree);
 
     // Apply the spider: select center and all path nodes; merge components.
-    const NodeId merged = comp[best_targets[0]];
+    const NodeId merged = comp[targets[0].second];
     auto select_node = [&](NodeId v) {
-      selected.insert(v);
+      step[v] = 0.0;
       if (comp[v] == kInvalidNode) comp[v] = merged;
     };
     select_node(best_center);
-    for (NodeId target : best_targets) {
+    for (const auto& [d, target] : targets) {
       for (NodeId cur = target; cur != kInvalidNode && cur != best_center;
-           cur = best_parent[cur])
+           cur = search.parent(cur))
         select_node(cur);
     }
-    // Relabel all nodes of merged components.
-    std::set<NodeId> merged_comps;
-    for (NodeId target : best_targets) merged_comps.insert(comp[target]);
-    for (NodeId v = 0; v < g.node_count(); ++v)
-      if (comp[v] != kInvalidNode && merged_comps.count(comp[v]))
-        comp[v] = merged;
-    active_components -= merged_comps.size() - 1;
+    // Relabel all nodes of merged components (one target per component).
+    std::vector<char> merging(next_comp, 0);
+    for (const auto& [d, target] : targets) merging[comp[target]] = 1;
+    for (NodeId v = 0; v < n; ++v)
+      if (comp[v] != kInvalidNode && merging[comp[v]]) comp[v] = merged;
+    active_components -= targets.size() - 1;
   }
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
   // spanning structure works; MST keeps edge cost tidy), then prune.
   std::set<EdgeId> edges;
   {
-    std::map<NodeId, NodeId> remap;
+    std::vector<NodeId> remap(n, kInvalidNode);
     Graph sub;
     std::vector<EdgeId> back;
-    for (NodeId v : selected) remap[v] = sub.add_node();
+    for (NodeId v = 0; v < n; ++v)
+      if (comp[v] != kInvalidNode) remap[v] = sub.add_node();
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const Edge& ed = g.edge(static_cast<EdgeId>(e));
-      if (remap.count(ed.u) && remap.count(ed.v)) {
+      const Edge& ed = g.edge(e);
+      if (remap[ed.u] != kInvalidNode && remap[ed.v] != kInvalidNode) {
         sub.add_edge(remap[ed.u], remap[ed.v], ed.weight);
-        back.push_back(static_cast<EdgeId>(e));
+        back.push_back(e);
       }
     }
     if (sub.node_count() > 0) {

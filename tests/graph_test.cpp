@@ -78,16 +78,20 @@ TEST(Dijkstra, UnreachableNodes) {
   EXPECT_TRUE(t.path_to(2).empty());
 }
 
-TEST(Dijkstra, NodeCostFolding) {
-  // 0-1-2 vs 0-3-2: equal edge weights, node 1 expensive.
+TEST(Dijkstra, MaskedNodesAreNeverEntered) {
+  // 0-1-2 is the cheap route, 0-3-2 the dear one. Masking node 1 forces the
+  // detour and leaves node 1 unreached.
   Graph g(4);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
-  g.add_edge(0, 3, 1.0);
-  g.add_edge(3, 2, 1.0);
-  const auto cost = [](NodeId v) { return v == 1 ? 10.0 : 0.0; };
-  const auto t = dijkstra(g, 0, cost);
+  g.add_edge(0, 3, 2.0);
+  g.add_edge(3, 2, 2.0);
+  EXPECT_EQ(dijkstra(g, 0).path_to(2), (std::vector<NodeId>{0, 1, 2}));
+  const std::vector<char> allowed{1, 0, 1, 1};
+  const auto t = dijkstra(g, 0, allowed);
   EXPECT_EQ(t.path_to(2), (std::vector<NodeId>{0, 3, 2}));
+  EXPECT_DOUBLE_EQ(t.distance[2], 4.0);
+  EXPECT_FALSE(t.reachable(1));
 }
 
 TEST(BellmanFord, MatchesDijkstraOnTriangle) {

@@ -16,9 +16,8 @@ namespace {
 class ShortestPathProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(ShortestPathProperty, DijkstraMatchesBellmanFord) {
-  Rng rng(GetParam());
-  const std::size_t n = 4 + rng.next_below(12);
+/// A ring of n nodes plus up to 2n random chords, weights in [0.1, 5).
+graph::Graph random_ring_graph(Rng& rng, std::size_t n) {
   graph::Graph g(n);
   for (graph::NodeId v = 0; v < n; ++v)
     g.add_edge(v, static_cast<graph::NodeId>((v + 1) % n),
@@ -29,6 +28,13 @@ TEST_P(ShortestPathProperty, DijkstraMatchesBellmanFord) {
     const auto b = static_cast<graph::NodeId>(rng.next_below(n));
     if (a != b) g.add_edge(a, b, rng.uniform(0.1, 5.0));
   }
+  return g;
+}
+
+TEST_P(ShortestPathProperty, DijkstraMatchesBellmanFord) {
+  Rng rng(GetParam());
+  const std::size_t n = 4 + rng.next_below(12);
+  const graph::Graph g = random_ring_graph(rng, n);
   const auto src = static_cast<graph::NodeId>(rng.next_below(n));
   const auto d = graph::dijkstra(g, src);
   const auto bf = graph::bellman_ford(g, src);
@@ -39,6 +45,39 @@ TEST_P(ShortestPathProperty, DijkstraMatchesBellmanFord) {
     if (!d.reachable(v) || v == src) continue;
     const auto path = d.path_to(v);
     EXPECT_NEAR(graph::path_cost(g, path), d.distance[v], 1e-9);
+  }
+}
+
+TEST_P(ShortestPathProperty, MaskedTargetStopMatchesInducedSubgraph) {
+  // A masked run stopped at the target against a full run on the induced
+  // subgraph built explicitly (same node ids, allowed-to-allowed edges in
+  // their original order): same path, and every node that settled before
+  // the target has its final distance.
+  Rng rng(GetParam() * 31337);
+  const std::size_t n = 4 + rng.next_below(28);
+  const graph::Graph g = random_ring_graph(rng, n);
+  const auto src = static_cast<graph::NodeId>(rng.next_below(n));
+  const auto dst = static_cast<graph::NodeId>(rng.next_below(n));
+  std::vector<char> allowed(n);
+  for (graph::NodeId v = 0; v < n; ++v) allowed[v] = rng.bernoulli(0.7);
+  allowed[src] = allowed[dst] = 1;
+  graph::Graph sub(n);
+  for (const graph::Edge& e : g.edges())
+    if (allowed[e.u] && allowed[e.v]) sub.add_edge(e.u, e.v, e.weight);
+
+  const auto full = graph::dijkstra(sub, src);
+  const auto masked = graph::dijkstra(g, src, allowed, dst);
+  EXPECT_EQ(masked.path_to(dst), full.path_to(dst));
+  EXPECT_EQ(masked.distance[dst], full.distance[dst]);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (!allowed[v]) {
+      EXPECT_FALSE(masked.reachable(v)) << "node " << v;
+    }
+    if (masked.distance[v] < masked.distance[dst]) {
+      EXPECT_EQ(masked.distance[v], full.distance[v]) << "node " << v;
+      EXPECT_EQ(masked.path_to(v), full.path_to(v)) << "node " << v;
+    }
+    EXPECT_GE(masked.distance[v], full.distance[v]) << "node " << v;
   }
 }
 
