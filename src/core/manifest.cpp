@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "energy/radio_card.hpp"
@@ -15,6 +19,8 @@
 namespace eend::core {
 
 namespace {
+
+using K = ExperimentKind;
 
 [[noreturn]] void fail(const std::string& msg) {
   throw CheckError("manifest: " + msg);
@@ -27,6 +33,11 @@ std::string join(const std::vector<std::string>& parts) {
     out += p;
   }
   return out;
+}
+
+bool is_name_char(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == '-';
 }
 
 // ---------------------------------------------------------------- readers ---
@@ -59,8 +70,8 @@ class ObjectReader {
     return *v;
   }
 
-  /// Declare a key as recognized (for the unknown-key message) without
-  /// reading it — used for keys that are invalid for the current kind.
+  /// Reject `key` if present, with `why` — used for keys that are invalid
+  /// for the current kind (they stay out of the unknown-key allowed list).
   void forbid(const std::string& key, const std::string& why) {
     for (std::size_t i = 0; i < obj_->size(); ++i)
       if ((*obj_)[i].first == key)
@@ -82,14 +93,42 @@ class ObjectReader {
     }
   }
 
-  const std::string& ctx() const { return ctx_; }
-
  private:
   const json::Object* obj_ = nullptr;
   std::vector<bool> consumed_;
   std::vector<std::string> known_;  // keys probed but absent
   std::string ctx_;
 };
+
+/// Interval a scalar (or each list entry) must lie in, plus the wording the
+/// rejection uses: "<ctx> must be <text>". A null text means unbounded.
+struct Range {
+  double lo = 0.0;
+  double hi = 0.0;
+  const char* text = nullptr;
+  bool lo_open = false;
+
+  bool holds(double x) const {
+    return !text || ((lo_open ? x > lo : x >= lo) && x <= hi);
+  }
+};
+
+/// [lo, hi]
+constexpr Range closed(double lo, double hi, const char* text) {
+  return {lo, hi, text, false};
+}
+/// (lo, hi]
+constexpr Range above(double lo, double hi, const char* text) {
+  return {lo, hi, text, true};
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Range kPositive = above(0.0, kInf, "positive");
+constexpr Range kRate = above(0.0, 1e6, "in (0, 1e6] pkt/s");
+constexpr Range kMultiplier = above(0.0, 1e3, "in (0, 1e3]");
+constexpr Range kNodeId =
+    closed(0.0, static_cast<double>(graph::kInvalidNode) - 1,
+           "a node id in [0, 4294967294]");
 
 std::string as_string(const json::Value& v, const std::string& ctx) {
   if (!v.is_string()) fail(ctx + " must be a string");
@@ -108,56 +147,89 @@ std::uint64_t as_uint(const json::Value& v, const std::string& ctx) {
   return static_cast<std::uint64_t>(d);
 }
 
-std::vector<double> as_rate_list(const json::Value& v, const std::string& ctx) {
+/// Index of the first entry repeating an earlier one: every axis value
+/// defines one cell, so repeats are rejected.
+template <class T>
+std::optional<std::size_t> find_repeat(const std::vector<T>& v) {
+  for (std::size_t j = 1; j < v.size(); ++j)
+    if (std::find(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(j),
+                  v[j]) != v.begin() + static_cast<std::ptrdiff_t>(j))
+      return j;
+  return std::nullopt;
+}
+
+// The value readers of the key table: (JSON, row range, "<ctx> <key>").
+
+std::uint64_t read_uint(const json::Value& v, const Range& r,
+                        const std::string& ctx) {
+  const std::uint64_t n = as_uint(v, ctx);
+  if (!r.holds(static_cast<double>(n))) fail(ctx + " must be " + r.text);
+  return n;
+}
+
+double read_finite(const json::Value& v, const Range& r,
+                   const std::string& ctx) {
+  const double x = as_finite(v, ctx);
+  if (!r.holds(x)) fail(ctx + " must be " + r.text);
+  return x;
+}
+
+bool read_bool(const json::Value& v, const Range&, const std::string& ctx) {
+  if (!v.is_bool()) fail(ctx + " must be a boolean");
+  return v.as_bool();
+}
+
+std::vector<double> read_weights(const json::Value& v, const Range& r,
+                                 const std::string& ctx) {
   if (!v.is_array() || v.as_array().empty())
-    fail(ctx + " must be a non-empty array of rates");
+    fail(ctx + " must be a non-empty array");
   std::vector<double> out;
   for (const auto& e : v.as_array()) {
-    const double r = as_finite(e, ctx + " entry");
-    if (!(r > 0.0) || !std::isfinite(r) || r > 1e6)
-      fail(ctx + " entries must be in (0, 1e6] pkt/s, got " + json::dump(e));
-    out.push_back(r);
+    const double x = as_finite(e, ctx + " entry");
+    if (!r.holds(x))
+      fail(ctx + " entries must be " + r.text + ", got " + json::dump(e));
+    out.push_back(x);
   }
-  for (std::size_t i = 0; i < out.size(); ++i)
-    for (std::size_t j = i + 1; j < out.size(); ++j)
-      if (out[i] == out[j])
-        fail("duplicate rate " + json::dump(json::Value(out[i])) + " in " +
-             ctx + " — each rate defines one cell");
   return out;
 }
 
-std::vector<std::size_t> as_node_list(const json::Value& v,
-                                      const std::string& ctx) {
+std::vector<double> read_rates(const json::Value& v, const Range& r,
+                               const std::string& ctx) {
+  if (!v.is_array() || v.as_array().empty())
+    fail(ctx + " must be a non-empty array of rates");
+  std::vector<double> out = read_weights(v, r, ctx);
+  if (const auto i = find_repeat(out))
+    fail("duplicate rate " + json::dump(json::Value(out[*i])) + " in " + ctx +
+         " — each rate defines one cell");
+  return out;
+}
+
+std::vector<std::size_t> read_nodes(const json::Value& v, const Range& r,
+                                    const std::string& ctx) {
   if (!v.is_array() || v.as_array().empty())
     fail(ctx + " must be a non-empty array of node counts");
   std::vector<std::size_t> out;
   for (const auto& e : v.as_array()) {
     const auto n = as_uint(e, ctx + " entry");
-    if (n < 2) fail(ctx + " entries must be >= 2 nodes, got " + json::dump(e));
+    if (!r.holds(static_cast<double>(n)))
+      fail(ctx + " entries must be " + r.text + ", got " + json::dump(e));
     out.push_back(static_cast<std::size_t>(n));
   }
-  for (std::size_t i = 0; i < out.size(); ++i)
-    for (std::size_t j = i + 1; j < out.size(); ++j)
-      if (out[i] == out[j])
-        fail("duplicate node count " + std::to_string(out[i]) + " in " + ctx +
-             " — each count defines one cell");
+  if (const auto i = find_repeat(out))
+    fail("duplicate node count " + std::to_string(out[*i]) + " in " + ctx +
+         " — each count defines one cell");
   return out;
 }
 
-// ----------------------------------------------------------------- metrics ---
+graph::NodeId read_node_id(const json::Value& v, const std::string& ctx) {
+  return static_cast<graph::NodeId>(read_uint(v, kNodeId, ctx));
+}
 
-// Single registry of metric names and their table-banner labels: valid
-// names per kind and display lookup both derive from these, so a metric
-// added here is complete (the engine's extractors are the remaining
-// counterpart, and they fail loudly on unknown names).
-struct MetricInfo {
-  const char* name;
-  const char* display;
-};
+// ------------------------------------------------------------------ kinds ---
 
-constexpr MetricInfo kSimMetricInfo[] = {
-    {"delivery_ratio", "delivery ratio"},
-    {"goodput_bit_per_j", "energy goodput (bit/J)"},
+constexpr MetricInfo kSimMetrics[] = {
+    {"delivery_ratio", "delivery ratio", 3},
+    {"goodput_bit_per_j", "energy goodput (bit/J)", 1},
     {"transmit_energy_j", "transmit energy (J)"},
     {"total_energy_j", "total energy (J)"},
     {"control_energy_j", "control energy (J)"},
@@ -171,37 +243,48 @@ constexpr MetricInfo kSimMetricInfo[] = {
     {"mac_unicast_failures", "unicast failures"},
     {"average_delay_s", "average delay (s)"},
 };
-constexpr MetricInfo kGridMetricInfo[] = {
-    {"goodput_kbit_per_j", "energy goodput (Kbit/J)"},
+constexpr MetricInfo kGridMetrics[] = {
+    {"goodput_kbit_per_j", "energy goodput (Kbit/J)", 3},
     {"network_power_w", "network power (W)"},
     {"data_power_w", "data power (W)"},
     {"passive_power_w", "passive power (W)"},
     {"active_nodes", "active nodes"},
 };
-constexpr MetricInfo kMoptMetricInfo[] = {
-    {"mopt", "m_opt"},
+constexpr MetricInfo kMoptMetrics[] = {
+    {"mopt", "m_opt", 3},
 };
-constexpr MetricInfo kDesignMetricInfo[] = {
-    {"eq5_total", "Eq. 5 total cost"},
+constexpr MetricInfo kDesignMetrics[] = {
+    {"eq5_total", "Eq. 5 total cost", 1},
     {"eq5_data", "Eq. 5 data cost"},
     {"eq5_idle", "Eq. 5 passive (idle) cost"},
-    {"gap_vs_klein_ravi", "gap vs Klein-Ravi (%)"},
+    {"gap_vs_klein_ravi", "gap vs Klein-Ravi (%)", 2},
     {"relay_nodes", "relay nodes"},
     // Wall time is real elapsed time and therefore NOT covered by the
     // determinism contract — keep it out of golden-pinned manifests.
     {"wall_time_s", "wall time (s)"},
-    // The next four require `presolve: true` on the experiment (validated
-    // after parsing); they surface the certified bound and instance shrink.
+    // The next four require `presolve: true` on the experiment (a cross-key
+    // check); they surface the certified bound and instance shrink.
     {"lb", "certified Eq. 5 lower bound"},
     {"certified_gap_pct", "certified gap vs lower bound (%)"},
     {"reduced_nodes", "presolve-removed nodes"},
     {"reduced_edges", "presolve-removed edges"},
 };
-constexpr MetricInfo kChurnMetricInfo[] = {
-    {"warm_score", "warm-start Eq. 5 score"},
+constexpr MetricInfo kReplayMetrics[] = {
+    {"analytic_eq5_j", "Eq. 5 analytic energy (J)", 1},
+    {"sim_energy_j", "simulated energy (J)", 1},
+    {"analytic_gap_pct", "simulated vs Eq. 5 gap (%)", 1},
+    {"sim_j_per_kbit", "simulated J per delivered Kbit"},
+    {"delivery_ratio", "delivery ratio", 3},
+    {"first_death_s", "first battery death (s; horizon = none)", 1},
+    {"depleted_nodes", "battery-depleted nodes"},
+    {"active_nodes", "active nodes"},
+    {"max_node_load_j", "max per-node analytic load (J)"},
+};
+constexpr MetricInfo kChurnMetrics[] = {
+    {"warm_score", "warm-start Eq. 5 score", 1},
     {"cold_score", "from-scratch Eq. 5 score"},
-    {"gap_vs_cold_pct", "warm vs from-scratch gap (%)"},
-    {"events_applied", "churn events applied"},
+    {"gap_vs_cold_pct", "warm vs from-scratch gap (%)", 2},
+    {"events_applied", "churn events applied", 1},
     {"rerouted_demands", "demands re-routed"},
     {"fallbacks", "portfolio fallbacks"},
     {"active_nodes", "active nodes (warm design)"},
@@ -210,92 +293,223 @@ constexpr MetricInfo kChurnMetricInfo[] = {
     // determinism contract — keep them out of golden-pinned manifests.
     {"warm_wall_s", "warm re-design latency (s)"},
     {"cold_wall_s", "from-scratch latency (s)"},
-    // Requires `replay_every` > 0 on the experiment (validated after
-    // parsing); zero on epochs that skip the replay validation.
+    // Requires `replay_every` > 0 on the experiment (a cross-key check);
+    // zero on epochs that skip the replay validation.
     {"replay_gap_pct", "replayed sim vs Eq. 5 gap (%)"},
 };
-constexpr MetricInfo kReplayMetricInfo[] = {
-    {"analytic_eq5_j", "Eq. 5 analytic energy (J)"},
-    {"sim_energy_j", "simulated energy (J)"},
-    {"analytic_gap_pct", "simulated vs Eq. 5 gap (%)"},
-    {"sim_j_per_kbit", "simulated J per delivered Kbit"},
-    {"delivery_ratio", "delivery ratio"},
-    {"first_death_s", "first battery death (s; horizon = none)"},
-    {"depleted_nodes", "battery-depleted nodes"},
-    {"active_nodes", "active nodes"},
-    {"max_node_load_j", "max per-node analytic load (J)"},
-};
 
-template <std::size_t N>
-std::vector<std::string> names_of(const MetricInfo (&infos)[N]) {
-  std::vector<std::string> out;
-  out.reserve(N);
-  for (const MetricInfo& m : infos) out.emplace_back(m.name);
+/// The kind table, in ExperimentKind order. Columns: name, metrics, default
+/// scenario preset, series key, x-axis key, x header, x digits, runs, seed.
+constexpr KindInfo kKinds[] = {
+    {"sweep", kSimMetrics, "small_network", "stacks", "rates_pps",
+     "rate (pkt/s)", 1, true, true},
+    {"density", kSimMetrics, "density_network", "stacks", "node_counts",
+     "# of nodes", -1, true, true},
+    {"grid", kGridMetrics, "hypothetical_grid", "stacks", "rates_pps",
+     "rate (pkt/s)", 1, false, true},
+    {"mopt", kMoptMetrics, nullptr, "cards", "rb", "R/B", 2, false, false},
+    {"design", kDesignMetrics, nullptr, "heuristics", "node_counts",
+     "# of nodes", -1, true, true},
+    {"replay", kReplayMetrics, nullptr, "heuristics", "node_counts",
+     "# of nodes", -1, true, true},
+    {"churn", kChurnMetrics, nullptr, "node_counts", "epochs", "epoch", -1,
+     true, true},
+};
+static_assert(std::size(kKinds) == static_cast<std::size_t>(K::Churn) + 1);
+
+/// Bit set over ExperimentKind.
+using KindSet = unsigned;
+
+constexpr KindSet bit(ExperimentKind k) {
+  return 1u << static_cast<unsigned>(k);
+}
+
+template <class... Ks>
+constexpr KindSet kinds(Ks... ks) {
+  return (bit(ks) | ...);
+}
+
+constexpr KindSet kinds_where(bool (*pred)(const KindInfo&)) {
+  KindSet out = 0;
+  for (unsigned i = 0; i < std::size(kKinds); ++i)
+    if (pred(kKinds[i])) out |= 1u << i;
   return out;
 }
 
-const std::vector<std::string> kSimMetrics = names_of(kSimMetricInfo);
-const std::vector<std::string> kGridMetrics = names_of(kGridMetricInfo);
-const std::vector<std::string> kMoptMetrics = names_of(kMoptMetricInfo);
-const std::vector<std::string> kDesignMetrics = names_of(kDesignMetricInfo);
-const std::vector<std::string> kReplayMetrics = names_of(kReplayMetricInfo);
-const std::vector<std::string> kChurnMetrics = names_of(kChurnMetricInfo);
+/// Kinds whose series or x axis is the key `name`.
+constexpr KindSet axis_kinds(std::string_view name) {
+  KindSet out = 0;
+  for (unsigned i = 0; i < std::size(kKinds); ++i)
+    if (name == kKinds[i].series_key || name == kKinds[i].x_key)
+      out |= 1u << i;
+  return out;
+}
+
+constexpr KindSet kAllKinds = (1u << std::size(kKinds)) - 1;
+constexpr KindSet kScenarioKinds =
+    kinds_where([](const KindInfo& k) { return k.scenario_preset != nullptr; });
+constexpr KindSet kReplicated =
+    kinds_where([](const KindInfo& k) { return k.has_runs; });
+constexpr KindSet kSeeded =
+    kinds_where([](const KindInfo& k) { return k.has_seed; });
+/// Kinds whose instances come from the §5.2.2 density law with sampled
+/// demands, searched by the opt/ heuristics.
+constexpr KindSet kInstanceKinds = kinds(K::Design, K::Replay, K::Churn);
+
+/// `"a"`, `"a" and "b"`, `"a", "b" and "c"` — with the kind/kinds noun.
+std::string kind_list(KindSet set) {
+  std::vector<std::string> names;
+  for (unsigned i = 0; i < std::size(kKinds); ++i)
+    if (set & (1u << i))
+      names.push_back('"' + std::string(kKinds[i].name) + '"');
+  std::string out = names.size() > 1 ? "kinds " : "kind ";
+  for (std::size_t i = 0; i < names.size(); ++i)
+    out += (i == 0 ? "" : i + 1 == names.size() ? " and " : ", ") + names[i];
+  return out;
+}
+
+std::string not_valid(KindSet allowed, ExperimentKind kind, const char* hint) {
+  return "is not valid for kind \"" + std::string(kind_name(kind)) +
+         "\" (only valid for " + kind_list(allowed) +
+         (hint ? "; " + std::string(hint) : "") + ")";
+}
 
 std::vector<MetricSpec> default_metrics(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::Sweep:
-    case ExperimentKind::Density:
-      return {{"delivery_ratio", 3}, {"goodput_bit_per_j", 1}};
-    case ExperimentKind::Grid: return {{"goodput_kbit_per_j", 3}};
-    case ExperimentKind::Mopt: return {{"mopt", 3}};
-    case ExperimentKind::Design:
-      return {{"eq5_total", 1}, {"gap_vs_klein_ravi", 2}};
-    case ExperimentKind::Replay:
-      return {{"analytic_eq5_j", 1},
-              {"sim_energy_j", 1},
-              {"analytic_gap_pct", 1},
-              {"delivery_ratio", 3},
-              {"first_death_s", 1}};
-    case ExperimentKind::Churn:
-      return {{"warm_score", 1},
-              {"gap_vs_cold_pct", 2},
-              {"events_applied", 1}};
-  }
-  return {};
-}
-
-std::vector<MetricSpec> parse_metrics(const json::Value& v,
-                                      ExperimentKind kind,
-                                      const std::string& ctx) {
-  if (!v.is_array() || v.as_array().empty())
-    fail(ctx + " must be a non-empty array");
-  const auto& valid = metric_names(kind);
   std::vector<MetricSpec> out;
-  for (const auto& e : v.as_array()) {
-    MetricSpec m;
-    if (e.is_string()) {
-      m.name = e.as_string();
-    } else {
-      ObjectReader r(e, ctx + " entry");
-      m.name = as_string(r.required("name"), ctx + " name");
-      if (const auto* p = r.optional("precision")) {
-        const auto prec = as_uint(*p, ctx + " precision");
-        if (prec > 12) fail(ctx + " precision must be <= 12");
-        m.precision = static_cast<int>(prec);
-      }
-      r.finish();
-    }
-    if (std::find(valid.begin(), valid.end(), m.name) == valid.end())
-      fail("metric \"" + m.name + "\" is not valid for kind \"" +
-           kind_name(kind) + "\" (valid: " + join(valid) + ")");
-    for (const auto& prev : out)
-      if (prev.name == m.name) fail("duplicate metric \"" + m.name + "\"");
-    out.push_back(std::move(m));
-  }
+  for (const MetricInfo& m : kind_info(kind).metrics)
+    if (m.default_precision >= 0) out.push_back({m.name, m.default_precision});
   return out;
 }
 
-// ---------------------------------------------------------------- scenario ---
+// -------------------------------------------------------------- key table ---
+
+/// How one key's value is read (and range-checked) into its C++ object and
+/// written back. A null write result means "unset": serialize leaves the
+/// key out (empty optionals, empty lists).
+template <class Obj>
+struct Field {
+  void (*read)(const json::Value& v, Obj& o, const Range& range,
+               const std::string& ctx);
+  json::Value (*write)(const Obj& o);
+};
+
+template <class M>
+struct MemberOf;
+template <class C, class T>
+struct MemberOf<T C::*> {
+  using Object = C;
+};
+template <auto M>
+using ObjectOf = typename MemberOf<decltype(M)>::Object;
+
+template <class T, class U>
+void store(T& dst, U&& v) {
+  dst = static_cast<T>(std::forward<U>(v));
+}
+template <class T, class U>
+void store(std::optional<T>& dst, U&& v) {
+  dst = static_cast<T>(std::forward<U>(v));
+}
+
+template <class T>
+struct IsOptional : std::false_type {};
+template <class T>
+struct IsOptional<std::optional<T>> : std::true_type {};
+
+template <class T>
+json::Value to_json(const T& x) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return json::Value(x);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return json::Value(static_cast<double>(x));
+  } else if constexpr (IsOptional<T>::value) {
+    return x ? to_json(*x) : json::Value();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return x.empty() ? json::Value() : json::Value(x);
+  } else {
+    if (x.empty()) return json::Value();
+    json::Array a;
+    for (const auto& item : x) a.push_back(to_json(item));
+    return json::Value(std::move(a));
+  }
+}
+
+/// A plain member read by one of the value readers above.
+template <auto M, auto Read>
+constexpr Field<ObjectOf<M>> typed{
+    [](const json::Value& v, ObjectOf<M>& o, const Range& r,
+       const std::string& ctx) { store(o.*M, Read(v, r, ctx)); },
+    [](const ObjectOf<M>& o) { return to_json(o.*M); }};
+
+/// A kind that takes the key only while a cross-key condition holds:
+/// parse rejects the key otherwise (with `why`), serialize leaves it out.
+struct Gate {
+  ExperimentKind kind = K::Sweep;
+  bool (*holds)(const Experiment&) = nullptr;  ///< null: no gate
+  const char* why = nullptr;
+};
+
+/// One row of the manifest schema.
+template <class Obj>
+struct Key {
+  const char* name;
+  Field<Obj> field;
+  KindSet kinds = kAllKinds;  ///< kinds that take the key
+  Range range = {};
+  bool required = false;
+  const char* hint = nullptr;  ///< appended to "is not valid for kind"
+  Gate gate = {};              ///< gate.kind is allowed too, conditionally
+
+  bool allows(ExperimentKind k) const {
+    return (kinds & bit(k)) || (gate.holds && gate.kind == k);
+  }
+  bool gated_off(const Experiment& e) const {
+    return gate.holds && gate.kind == e.kind && !gate.holds(e);
+  }
+  /// Whether serialize writes the key for `o`: experiment keys only for
+  /// kinds that take them and while their gate holds.
+  bool emitted_for(const Obj& o) const {
+    if constexpr (std::is_same_v<Obj, Experiment>)
+      return allows(o.kind) && !gated_off(o);
+    return true;
+  }
+};
+
+using ExperimentKey = Key<Experiment>;
+using ScenarioKey = Key<ScenarioSpec>;
+
+/// Read one row from `r` into `o`: reject it for kinds that do not take it,
+/// demand it when required, and otherwise leave the default in place.
+template <class Obj>
+void read_key(ObjectReader& r, const Key<Obj>& k, Obj& o, ExperimentKind kind,
+              const std::string& ctx) {
+  if (!k.allows(kind))
+    return r.forbid(k.name, not_valid(k.kinds, kind, k.hint));
+  const json::Value* p = k.required ? &r.required(k.name) : r.optional(k.name);
+  if (p) k.field.read(*p, o, k.range, ctx + " " + k.name);
+}
+
+/// Serialize `o` through its key table, in row order, leaving unset keys out.
+template <class Obj>
+json::Object write_keys(std::span<const Key<Obj>> keys, const Obj& o) {
+  json::Object out;
+  for (const Key<Obj>& k : keys)
+    if (k.emitted_for(o))
+      if (json::Value v = k.field.write(o); !v.is_null())
+        out.emplace_back(k.name, std::move(v));
+  return out;
+}
+
+template <class Row>
+const Row* find_key(std::span<const Row> rows, std::string_view name) {
+  for (const Row& k : rows)
+    if (name == k.name) return &k;
+  return nullptr;
+}
+
+std::span<const ExperimentKey> experiment_keys();
+
+// --------------------------------------------------------------- scenario ---
 
 // Single registry of scenario presets: name list (validation) and factory
 // dispatch (ScenarioSpec::resolve) derive from the same table, so a preset
@@ -325,150 +539,48 @@ const ScenarioPreset kScenarioPresetTable[] = {
     {"custom", [](const ScenarioSpec&) { return net::ScenarioConfig(); }},
 };
 
-std::vector<std::string> scenario_preset_names() {
-  std::vector<std::string> out;
-  for (const ScenarioPreset& p : kScenarioPresetTable) out.emplace_back(p.name);
-  return out;
+const ScenarioPreset* find_preset(const std::string& name) {
+  for (const ScenarioPreset& p : kScenarioPresetTable)
+    if (name == p.name) return &p;
+  std::vector<std::string> names;
+  for (const ScenarioPreset& p : kScenarioPresetTable)
+    names.emplace_back(p.name);
+  fail("unknown scenario preset \"" + name + "\" (valid: " + join(names) + ")");
 }
 
-const std::vector<std::string> kScenarioPresets = scenario_preset_names();
-
-ScenarioSpec parse_scenario(const json::Value& v, const std::string& ctx) {
-  ScenarioSpec s;
-  ObjectReader r(v, ctx);
-  s.preset = as_string(r.required("preset"), ctx + " preset");
-  if (std::find(kScenarioPresets.begin(), kScenarioPresets.end(), s.preset) ==
-      kScenarioPresets.end())
-    fail("unknown scenario preset \"" + s.preset +
-         "\" (valid: " + join(kScenarioPresets) + ")");
-  if (const auto* p = r.optional("node_count"))
-    s.node_count = static_cast<std::size_t>(as_uint(*p, ctx + " node_count"));
-  if (const auto* p = r.optional("field_w")) {
-    s.field_w = as_finite(*p, ctx + " field_w");
-    if (!(*s.field_w > 0.0)) fail(ctx + " field_w must be positive");
-  }
-  if (const auto* p = r.optional("field_h")) {
-    s.field_h = as_finite(*p, ctx + " field_h");
-    if (!(*s.field_h > 0.0)) fail(ctx + " field_h must be positive");
-  }
-  if (const auto* p = r.optional("flow_count"))
-    s.flow_count = static_cast<std::size_t>(as_uint(*p, ctx + " flow_count"));
-  if (const auto* p = r.optional("rate_pps")) {
-    s.rate_pps = as_finite(*p, ctx + " rate_pps");
-    if (!(*s.rate_pps > 0.0) || *s.rate_pps > 1e6)
-      fail(ctx + " rate_pps must be in (0, 1e6]");
-  }
-  if (const auto* p = r.optional("payload_bits")) {
-    const auto bits = as_uint(*p, ctx + " payload_bits");
-    if (bits == 0 || bits > 1u << 24)
-      fail(ctx + " payload_bits must be in [1, 2^24]");
-    s.payload_bits = static_cast<std::uint32_t>(bits);
-  }
-  if (const auto* p = r.optional("duration_s")) {
-    s.duration_s = as_finite(*p, ctx + " duration_s");
-    if (!(*s.duration_s > 0.0)) fail(ctx + " duration_s must be positive");
-  }
-  if (const auto* p = r.optional("flow_endpoint_pool"))
-    s.flow_endpoint_pool =
-        static_cast<std::size_t>(as_uint(*p, ctx + " flow_endpoint_pool"));
-  if (const auto* p = r.optional("rate_multipliers")) {
-    if (!p->is_array() || p->as_array().empty())
-      fail(ctx + " rate_multipliers must be a non-empty array");
-    std::vector<double> mult;
-    for (const auto& e : p->as_array()) {
-      const double m = as_finite(e, ctx + " rate_multipliers entry");
-      if (!(m > 0.0) || !std::isfinite(m) || m > 1e3)
-        fail(ctx + " rate_multipliers entries must be in (0, 1e3]");
-      mult.push_back(m);
-    }
-    s.rate_multipliers = std::move(mult);
-  }
-  r.finish();
-  return s;
+std::string read_preset(const json::Value& v, const Range&,
+                        const std::string& ctx) {
+  std::string name = as_string(v, ctx);
+  find_preset(name);
+  return name;
 }
 
-json::Object scenario_to_json(const ScenarioSpec& s) {
-  json::Object o;
-  o.emplace_back("preset", s.preset);
-  if (s.node_count)
-    o.emplace_back("node_count", static_cast<double>(*s.node_count));
-  if (s.field_w) o.emplace_back("field_w", *s.field_w);
-  if (s.field_h) o.emplace_back("field_h", *s.field_h);
-  if (s.flow_count)
-    o.emplace_back("flow_count", static_cast<double>(*s.flow_count));
-  if (s.rate_pps) o.emplace_back("rate_pps", *s.rate_pps);
-  if (s.payload_bits)
-    o.emplace_back("payload_bits", static_cast<double>(*s.payload_bits));
-  if (s.duration_s) o.emplace_back("duration_s", *s.duration_s);
-  if (s.flow_endpoint_pool)
-    o.emplace_back("flow_endpoint_pool",
-                   static_cast<double>(*s.flow_endpoint_pool));
-  if (s.rate_multipliers) {
-    json::Array a;
-    for (double m : *s.rate_multipliers) a.emplace_back(m);
-    o.emplace_back("rate_multipliers", std::move(a));
-  }
-  return o;
-}
-
-// -------------------------------------------------------------- experiment ---
-
-QuickSpec parse_quick(const json::Value& v, ExperimentKind kind,
-                      const std::string& ctx) {
-  QuickSpec q;
-  ObjectReader r(v, ctx);
-  // Design experiments have no simulated duration, so a quick
-  // "duration_s" there would be silently ignored — reject it like the
-  // kind-mismatched top-level keys. (Replay experiments DO simulate; churn
-  // replay-validation epochs clamp their own quick duration.)
-  if (kind == ExperimentKind::Design || kind == ExperimentKind::Churn) {
-    r.forbid("duration_s",
-             kind == ExperimentKind::Design
-                 ? "is only valid for simulation kinds (design instances "
-                   "are solved, not simulated)"
-                 : "is not valid for kind \"churn\" (quick mode clamps the "
-                   "replay-validation horizon itself)");
-  } else if (const auto* p = r.optional("duration_s")) {
-    q.duration_s = as_finite(*p, ctx + " duration_s");
-    if (!(*q.duration_s > 0.0)) fail(ctx + " duration_s must be positive");
-  }
-  // Grid experiments have no replication count, so a quick "runs" there
-  // would be silently ignored — reject it like the top-level key.
-  if (kind == ExperimentKind::Sweep || kind == ExperimentKind::Density ||
-      kind == ExperimentKind::Design || kind == ExperimentKind::Replay ||
-      kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("runs")) {
-      const auto n = as_uint(*p, ctx + " runs");
-      if (n == 0) fail(ctx + " runs must be >= 1");
-      q.runs = static_cast<std::size_t>(n);
-    }
-  } else {
-    r.forbid("runs",
-             "is only valid for kinds \"sweep\", \"density\", \"design\", "
-             "\"replay\" and \"churn\"");
-  }
-  if (kind == ExperimentKind::Sweep || kind == ExperimentKind::Grid) {
-    if (const auto* p = r.optional("rates_pps"))
-      q.rates_pps = as_rate_list(*p, ctx + " rates_pps");
-  }
-  if (kind == ExperimentKind::Density || kind == ExperimentKind::Design ||
-      kind == ExperimentKind::Replay || kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("node_counts"))
-      q.node_counts = as_node_list(*p, ctx + " node_counts");
-  }
-  if (kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("epochs")) {
-      const auto n = as_uint(*p, ctx + " epochs");
-      if (n < 2) fail(ctx + " epochs must be >= 2 (epoch 0 is the cold "
-                            "design; churn needs at least one more)");
-      q.epochs = static_cast<std::size_t>(n);
-    }
-  } else {
-    r.forbid("epochs", "is only valid for kind \"churn\"");
-  }
-  r.finish();
-  return q;
-}
+/// Scenario object keys, in serialize order.
+constexpr ScenarioKey kScenarioKeys[] = {
+    {.name = "preset", .field = typed<&ScenarioSpec::preset, read_preset>,
+     .required = true},
+    {.name = "node_count",
+     .field = typed<&ScenarioSpec::node_count, read_uint>},
+    {.name = "field_w", .field = typed<&ScenarioSpec::field_w, read_finite>,
+     .range = kPositive},
+    {.name = "field_h", .field = typed<&ScenarioSpec::field_h, read_finite>,
+     .range = kPositive},
+    {.name = "flow_count",
+     .field = typed<&ScenarioSpec::flow_count, read_uint>},
+    {.name = "rate_pps", .field = typed<&ScenarioSpec::rate_pps, read_finite>,
+     .range = kRate},
+    {.name = "payload_bits",
+     .field = typed<&ScenarioSpec::payload_bits, read_uint>,
+     .range = closed(1, 1 << 24, "in [1, 2^24]")},
+    {.name = "duration_s",
+     .field = typed<&ScenarioSpec::duration_s, read_finite>,
+     .range = kPositive},
+    {.name = "flow_endpoint_pool",
+     .field = typed<&ScenarioSpec::flow_endpoint_pool, read_uint>},
+    {.name = "rate_multipliers",
+     .field = typed<&ScenarioSpec::rate_multipliers, read_weights>,
+     .range = kMultiplier},
+};
 
 // ------------------------------------------------------------------- churn ---
 
@@ -483,18 +595,14 @@ churn::Event parse_churn_event(const json::Value& v, const std::string& ctx) {
   ev.op = churn::event_op_from_name(op);
   switch (ev.op) {
     case churn::EventOp::Arrive:
-      ev.source = static_cast<graph::NodeId>(
-          as_uint(r.required("source"), ctx + " source"));
-      ev.destination = static_cast<graph::NodeId>(
-          as_uint(r.required("destination"), ctx + " destination"));
+      ev.source = read_node_id(r.required("source"), ctx + " source");
+      ev.destination =
+          read_node_id(r.required("destination"), ctx + " destination");
       if (ev.source == ev.destination)
         fail(ctx + " arrive demand (" + std::to_string(ev.source) + ", " +
              std::to_string(ev.destination) + ") is a self-loop");
-      if (const auto* p = r.optional("weight")) {
-        ev.weight = as_finite(*p, ctx + " weight");
-        if (!(ev.weight > 0.0) || ev.weight > 1e3)
-          fail(ctx + " weight must be in (0, 1e3]");
-      }
+      if (const auto* p = r.optional("weight"))
+        ev.weight = read_finite(*p, kMultiplier, ctx + " weight");
       break;
     case churn::EventOp::Depart:
       ev.demand = static_cast<std::size_t>(
@@ -503,17 +611,14 @@ churn::Event parse_churn_event(const json::Value& v, const std::string& ctx) {
     case churn::EventOp::RateSwing:
       ev.demand = static_cast<std::size_t>(
           as_uint(r.required("demand"), ctx + " demand"));
-      ev.factor = as_finite(r.required("factor"), ctx + " factor");
-      if (!(ev.factor > 0.0) || ev.factor > 1e3)
-        fail(ctx + " factor must be in (0, 1e3]");
+      ev.factor =
+          read_finite(r.required("factor"), kMultiplier, ctx + " factor");
       break;
     case churn::EventOp::Fail:
-      ev.node = static_cast<graph::NodeId>(
-          as_uint(r.required("node"), ctx + " node"));
+      ev.node = read_node_id(r.required("node"), ctx + " node");
       break;
     case churn::EventOp::Move:
-      ev.node = static_cast<graph::NodeId>(
-          as_uint(r.required("node"), ctx + " node"));
+      ev.node = read_node_id(r.required("node"), ctx + " node");
       ev.x = as_finite(r.required("x"), ctx + " x");
       ev.y = as_finite(r.required("y"), ctx + " y");
       if (!(ev.x >= 0.0) || ev.x > 1e6 || !(ev.y >= 0.0) || ev.y > 1e6)
@@ -532,37 +637,33 @@ churn::Event parse_churn_event(const json::Value& v, const std::string& ctx) {
 /// of a known flow endpoint at parse time; graph-dependent breakage (a
 /// failure stranding an *initial* demand, an unroutable arrival) is caught
 /// at run time by ChurnState::apply.
-std::vector<churn::EpochEvents> parse_churn_schedule(
-    const json::Value& v, std::size_t epochs, std::size_t initial_demands,
-    const std::string& ctx) {
+void read_schedule(const json::Value& v, Experiment& e, const Range&,
+                   const std::string& ctx) {
   if (!v.is_array() || v.as_array().empty())
-    fail(ctx + " schedule must be a non-empty array of epoch entries");
+    fail(ctx + " must be a non-empty array of epoch entries");
   using MaybePair = std::optional<std::pair<graph::NodeId, graph::NodeId>>;
-  std::vector<MaybePair> live(initial_demands);
+  std::vector<MaybePair> live(e.demands);
   std::set<graph::NodeId> failed;
   std::vector<churn::EpochEvents> out;
   std::size_t prev_at = 0;
   for (const auto& entry : v.as_array()) {
-    ObjectReader er(entry, ctx + " schedule entry");
+    ObjectReader er(entry, ctx + " entry");
     churn::EpochEvents ee;
-    ee.at = static_cast<std::size_t>(
-        as_uint(er.required("at"), ctx + " schedule at"));
-    if (ee.at < 1 || ee.at >= epochs)
-      fail(ctx + " schedule entry at=" + std::to_string(ee.at) +
-           " outside [1, " + std::to_string(epochs) +
-           ") — epoch 0 is the untouched instance");
+    ee.at = static_cast<std::size_t>(as_uint(er.required("at"), ctx + " at"));
+    if (ee.at < 1 || ee.at >= e.epochs)
+      fail(ctx + " entry at=" + std::to_string(ee.at) + " outside [1, " +
+           std::to_string(e.epochs) + ") — epoch 0 is the untouched instance");
     if (ee.at <= prev_at)
-      fail(ctx + " schedule entries must be strictly increasing in \"at\" "
-           "(saw " + std::to_string(ee.at) + " after " +
-           std::to_string(prev_at) + ")");
+      fail(ctx + " entries must be strictly increasing in \"at\" (saw " +
+           std::to_string(ee.at) + " after " + std::to_string(prev_at) + ")");
     prev_at = ee.at;
     const json::Value& evs = er.required("events");
     if (!evs.is_array() || evs.as_array().empty())
-      fail(ctx + " schedule entry at=" + std::to_string(ee.at) +
+      fail(ctx + " entry at=" + std::to_string(ee.at) +
            " must list at least one event");
     for (const auto& evv : evs.as_array()) {
       const std::string ectx =
-          ctx + " schedule (at=" + std::to_string(ee.at) + ") event";
+          ctx + " (at=" + std::to_string(ee.at) + ") event";
       churn::Event ev = parse_churn_event(evv, ectx);
       switch (ev.op) {
         case churn::EventOp::Arrive: {
@@ -612,697 +713,596 @@ std::vector<churn::EpochEvents> parse_churn_schedule(
     }
     out.push_back(std::move(ee));
   }
+  e.churn_schedule = std::move(out);
+}
+
+json::Value write_schedule(const Experiment& e) {
+  if (e.churn_schedule.empty()) return json::Value();
+  json::Array sched;
+  for (const churn::EpochEvents& ee : e.churn_schedule) {
+    json::Array evs;
+    for (const churn::Event& ev : ee.events) {
+      json::Object eo;
+      eo.emplace_back("op", std::string(churn::event_op_name(ev.op)));
+      switch (ev.op) {
+        case churn::EventOp::Arrive:
+          eo.emplace_back("source", static_cast<double>(ev.source));
+          eo.emplace_back("destination", static_cast<double>(ev.destination));
+          eo.emplace_back("weight", ev.weight);
+          break;
+        case churn::EventOp::Depart:
+          eo.emplace_back("demand", static_cast<double>(ev.demand));
+          break;
+        case churn::EventOp::RateSwing:
+          eo.emplace_back("demand", static_cast<double>(ev.demand));
+          eo.emplace_back("factor", ev.factor);
+          break;
+        case churn::EventOp::Fail:
+          eo.emplace_back("node", static_cast<double>(ev.node));
+          break;
+        case churn::EventOp::Move:
+          eo.emplace_back("node", static_cast<double>(ev.node));
+          eo.emplace_back("x", ev.x);
+          eo.emplace_back("y", ev.y);
+          break;
+      }
+      evs.push_back(std::move(eo));
+    }
+    sched.push_back(
+        json::Object{{"at", json::Value(static_cast<double>(ee.at))},
+                     {"events", json::Value(std::move(evs))}});
+  }
+  return sched;
+}
+
+// ------------------------------------------------ structured-value readers ---
+
+/// Experiment ids and the manifest name: the name is the default output
+/// filename stem (eend_run writes <name>.csv / <name>.jsonl in the working
+/// directory) and ids are --only arguments, so path separators or other
+/// special characters must not get in.
+std::string read_name(const json::Value& v, const Range&,
+                      const std::string& ctx) {
+  std::string name = as_string(v, ctx);
+  if (name.empty()) fail(ctx + " must be non-empty");
+  if (!std::all_of(name.begin(), name.end(), is_name_char))
+    fail(ctx + " \"" + name +
+         "\" may only contain letters, digits, '_' and '-' (it is used in "
+         "output file names and --only lists)");
+  return name;
+}
+
+std::string read_string(const json::Value& v, const Range&,
+                        const std::string& ctx) {
+  return as_string(v, ctx);
+}
+
+json::Value write_title(const Experiment& e) {
+  return e.title == e.id ? json::Value() : json::Value(e.title);
+}
+
+/// Also applies the kind's defaults, which the keys read after it override.
+void read_kind(const json::Value& v, Experiment& e, const Range&,
+               const std::string& ctx) {
+  e.kind = kind_from_name(as_string(v, ctx));
+  if (const char* preset = kind_info(e.kind).scenario_preset)
+    e.scenario.preset = preset;
+  e.metrics = default_metrics(e.kind);
+}
+
+json::Value write_kind(const Experiment& e) { return kind_name(e.kind); }
+
+void read_scenario(const json::Value& v, Experiment& e, const Range&,
+                   const std::string& ctx) {
+  ObjectReader r(v, ctx);
+  ScenarioSpec s;
+  for (const ScenarioKey& k : kScenarioKeys) read_key(r, k, s, e.kind, ctx);
+  r.finish();
+  e.scenario = std::move(s);
+}
+
+json::Value write_scenario(const Experiment& e) {
+  return write_keys<ScenarioSpec>(kScenarioKeys, e.scenario);
+}
+
+/// A non-empty list of registry names, each validated by `lookup` (which
+/// throws listing the valid names) and unique — every name is one series.
+std::vector<std::string> read_names(const json::Value& v, const char* noun,
+                                    void (*lookup)(const std::string&),
+                                    const std::string& ctx) {
+  if (!v.is_array() || v.as_array().empty())
+    fail(ctx + " must be a non-empty array");
+  std::vector<std::string> out;
+  for (const auto& item : v.as_array()) {
+    const std::string name = as_string(item, ctx + " entry");
+    lookup(name);
+    if (std::find(out.begin(), out.end(), name) != out.end())
+      fail("duplicate " + std::string(noun) + " \"" + name + "\" in " + ctx +
+           " — each " + noun + " defines one series");
+    out.push_back(name);
+  }
   return out;
 }
 
-Experiment parse_experiment(const json::Value& v, std::size_t index) {
-  const std::string base = "experiment #" + std::to_string(index + 1);
-  ObjectReader r(v, base);
+std::vector<std::string> read_stacks(const json::Value& v, const Range&,
+                                     const std::string& ctx) {
+  return read_names(
+      v, "stack", [](const std::string& n) { net::stack_preset(n); }, ctx);
+}
 
-  Experiment e;
-  e.id = as_string(r.required("id"), base + " id");
-  if (e.id.empty()) fail(base + " id must be non-empty");
-  for (const char c : e.id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!ok)
-      fail(base + " id \"" + e.id +
-           "\" may only contain letters, digits, '_' and '-'");
+std::vector<std::string> read_heuristics(const json::Value& v, const Range&,
+                                         const std::string& ctx) {
+  return read_names(
+      v, "heuristic", [](const std::string& n) { opt::heuristic_by_name(n); },
+      ctx);
+}
+
+std::string read_stack(const json::Value& v, const Range&,
+                       const std::string& ctx) {
+  std::string name = as_string(v, ctx);
+  net::stack_preset(name);  // throws listing valid presets
+  return name;
+}
+
+void read_cards(const json::Value& v, Experiment& e, const Range&,
+                const std::string& ctx) {
+  if (!v.is_array() || v.as_array().empty())
+    fail(ctx + " must be a non-empty array");
+  for (const auto& cv : v.as_array()) {
+    ObjectReader cr(cv, ctx + " entry");
+    CardSpec c;
+    // Canonicalize case (lookup is case-insensitive, legends are not) and
+    // reject unknown names in one step.
+    c.card = energy::card_by_name(
+                 as_string(cr.required("card"), ctx + " card")).name;
+    c.distance_m =
+        read_finite(cr.required("distance_m"), kPositive, ctx + " distance_m");
+    cr.finish();
+    // Series legends render the distance rounded to whole meters, so two
+    // cards that only differ past that would silently merge into one
+    // table column — treat them as duplicates.
+    for (const auto& prev : e.cards)
+      if (prev.card == c.card &&
+          std::llround(prev.distance_m) == std::llround(c.distance_m))
+        fail("duplicate card \"" + c.card + "\" in " + ctx +
+             " — distances render identically in the legend (D=" +
+             std::to_string(std::llround(c.distance_m)) + "m)");
+    e.cards.push_back(std::move(c));
   }
-  const std::string ctx = "experiment \"" + e.id + "\"";
+}
 
-  e.kind = kind_from_name(as_string(r.required("kind"), ctx + " kind"));
-  if (const auto* p = r.optional("title"))
-    e.title = as_string(*p, ctx + " title");
-  if (e.title.empty()) e.title = e.id;
+json::Value write_cards(const Experiment& e) {
+  json::Array cards;
+  for (const auto& c : e.cards)
+    cards.push_back(json::Object{{"card", json::Value(c.card)},
+                                 {"distance_m", json::Value(c.distance_m)}});
+  return cards;
+}
 
-  const bool sim = e.kind != ExperimentKind::Mopt &&
-                   e.kind != ExperimentKind::Design &&
-                   e.kind != ExperimentKind::Replay &&
-                   e.kind != ExperimentKind::Churn;
-  if (sim) {
-    if (const auto* p = r.optional("scenario"))
-      e.scenario = parse_scenario(*p, ctx + " scenario");
-    else if (e.kind == ExperimentKind::Density)
-      e.scenario.preset = "density_network";
-    else if (e.kind == ExperimentKind::Grid)
-      e.scenario.preset = "hypothetical_grid";
+std::vector<double> read_rb(const json::Value& v, const Range& range,
+                            const std::string& ctx) {
+  std::vector<double> rb = read_weights(v, range, ctx);
+  if (find_repeat(rb)) fail("duplicate rb value in " + ctx);
+  return rb;
+}
 
-    const json::Value& stacks = r.required("stacks");
-    if (!stacks.is_array() || stacks.as_array().empty())
-      fail(ctx + " stacks must be a non-empty array");
-    for (const auto& s : stacks.as_array()) {
-      const std::string name = as_string(s, ctx + " stacks entry");
-      net::stack_preset(name);  // throws listing valid presets
-      if (std::find(e.stacks.begin(), e.stacks.end(), name) != e.stacks.end())
-        fail("duplicate stack \"" + name + "\" in " + ctx +
-             " — each stack defines one cell row");
-      e.stacks.push_back(name);
+void read_metrics(const json::Value& v, Experiment& e, const Range&,
+                  const std::string& ctx) {
+  if (!v.is_array() || v.as_array().empty())
+    fail(ctx + " must be a non-empty array");
+  const auto valid = kind_info(e.kind).metrics;
+  std::vector<MetricSpec> out;
+  for (const auto& item : v.as_array()) {
+    MetricSpec m;
+    if (item.is_string()) {
+      m.name = item.as_string();
+    } else {
+      ObjectReader r(item, ctx + " entry");
+      m.name = as_string(r.required("name"), ctx + " name");
+      if (const auto* p = r.optional("precision"))
+        m.precision = static_cast<int>(
+            read_uint(*p, closed(0, 12, "<= 12"), ctx + " precision"));
+      r.finish();
     }
-
-    if (const auto* p = r.optional("seed"))
-      e.seed = as_uint(*p, ctx + " seed");
-  } else if (e.kind == ExperimentKind::Design ||
-             e.kind == ExperimentKind::Replay ||
-             e.kind == ExperimentKind::Churn) {
-    const std::string kname = kind_name(e.kind);
-    r.forbid("scenario",
-             "is not valid for kind \"" + kname +
-                 "\" (instances derive from the node counts via the fixed "
-                 "density law)");
-    r.forbid("stacks",
-             e.kind == ExperimentKind::Design
-                 ? "is not valid for kind \"design\" (use \"heuristics\")"
-             : e.kind == ExperimentKind::Replay
-                 ? "is not valid for kind \"replay\" (use \"heuristics\" "
-                   "for the series and the singular \"stack\" for the "
-                   "simulated protocol stack)"
-                 : "is not valid for kind \"churn\" (the serving loop runs "
-                   "the fixed warm-start vs portfolio pipeline; the "
-                   "singular \"stack\" selects the replay-validation "
-                   "protocol stack)");
-    if (const auto* p = r.optional("seed"))
-      e.seed = as_uint(*p, ctx + " seed");
-  } else {
-    r.forbid("scenario", "is not valid for kind \"mopt\" (analytic model)");
-    r.forbid("stacks", "is not valid for kind \"mopt\" (use \"cards\")");
-    r.forbid("seed", "is not valid for kind \"mopt\" (deterministic model)");
+    if (std::none_of(valid.begin(), valid.end(),
+                     [&](const MetricInfo& i) { return m.name == i.name; })) {
+      std::vector<std::string> names;
+      for (const MetricInfo& i : valid) names.emplace_back(i.name);
+      fail("metric \"" + m.name + "\" is not valid for kind \"" +
+           kind_name(e.kind) + "\" (valid: " + join(names) + ")");
+    }
+    for (const auto& prev : out)
+      if (prev.name == m.name) fail("duplicate metric \"" + m.name + "\"");
+    out.push_back(std::move(m));
   }
+  e.metrics = std::move(out);
+}
 
-  switch (e.kind) {
-    case ExperimentKind::Sweep:
-    case ExperimentKind::Grid:
-      e.rates_pps = as_rate_list(r.required("rates_pps"), ctx + " rates_pps");
-      r.forbid("node_counts",
-               "is only valid for kinds \"density\", \"design\", "
-               "\"replay\" and \"churn\"");
-      break;
-    case ExperimentKind::Density:
-    case ExperimentKind::Design:
-    case ExperimentKind::Replay:
-    case ExperimentKind::Churn:
-      e.node_counts =
-          as_node_list(r.required("node_counts"), ctx + " node_counts");
-      r.forbid("rates_pps",
-               "is only valid for kinds \"sweep\" and \"grid\" (set the "
-               "density rate via scenario.rate_pps" +
-                   std::string(e.kind == ExperimentKind::Replay ||
-                                       e.kind == ExperimentKind::Churn
-                                   ? ", the replay rate via \"rate_pps\""
-                                   : "") +
-                   ")");
-      break;
-    case ExperimentKind::Mopt: break;
+json::Value write_metrics(const Experiment& e) {
+  json::Array metrics;
+  for (const auto& m : e.metrics)
+    metrics.push_back(json::Object{
+        {"name", json::Value(m.name)},
+        {"precision", json::Value(static_cast<double>(m.precision))}});
+  return metrics;
+}
+
+/// --quick overrides, in serialize order. Each overrides the same-named
+/// experiment key — or, on kinds with a scenario, the scenario key — and
+/// shares that key's kinds and range, so a quick value never exceeds what
+/// the full run accepts.
+struct QuickKey {
+  const char* name;
+  Field<QuickSpec> field;
+};
+
+constexpr QuickKey kQuickKeys[] = {
+    {"duration_s", typed<&QuickSpec::duration_s, read_finite>},
+    {"runs", typed<&QuickSpec::runs, read_uint>},
+    {"rates_pps", typed<&QuickSpec::rates_pps, read_rates>},
+    {"node_counts", typed<&QuickSpec::node_counts, read_nodes>},
+    {"epochs", typed<&QuickSpec::epochs, read_uint>},
+};
+
+void read_quick(const json::Value& v, Experiment& e, const Range&,
+                const std::string& ctx) {
+  ObjectReader r(v, ctx);
+  for (const QuickKey& q : kQuickKeys) {
+    const ExperimentKey& top = *find_key(experiment_keys(), q.name);
+    KindSet allowed = top.kinds;
+    const Range* range = (top.kinds & bit(e.kind)) ? &top.range : nullptr;
+    if (const ScenarioKey* s =
+            find_key(std::span<const ScenarioKey>(kScenarioKeys), q.name)) {
+      allowed |= kScenarioKinds;
+      if (kScenarioKinds & bit(e.kind)) range = &s->range;
+    }
+    if (!range) {
+      r.forbid(q.name, not_valid(allowed, e.kind, top.hint));
+    } else if (const auto* p = r.optional(q.name)) {
+      q.field.read(*p, e.quick, *range, ctx + " " + q.name);
+    }
   }
+  r.finish();
+}
 
-  if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay) {
-    const json::Value& heur = r.required("heuristics");
-    if (!heur.is_array() || heur.as_array().empty())
-      fail(ctx + " heuristics must be a non-empty array");
-    for (const auto& h : heur.as_array()) {
-      const std::string name = as_string(h, ctx + " heuristics entry");
-      opt::heuristic_by_name(name);  // throws listing valid names
-      if (e.kind == ExperimentKind::Design &&
-          opt::heuristic_uses_battery_budget(name))
-        fail("heuristic \"" + name + "\" in " + ctx +
-             " needs a battery budget and is only valid for kind "
-             "\"replay\" (its \"battery_j\" defines the per-node budget)");
-      if (std::find(e.heuristics.begin(), e.heuristics.end(), name) !=
-          e.heuristics.end())
-        fail("duplicate heuristic \"" + name + "\" in " + ctx +
-             " — each heuristic defines one series");
-      e.heuristics.push_back(name);
+json::Value write_quick(const Experiment& e) {
+  json::Object o;
+  for (const QuickKey& q : kQuickKeys)
+    if (json::Value v = q.field.write(e.quick); !v.is_null())
+      o.emplace_back(q.name, std::move(v));
+  return o.empty() ? json::Value() : json::Value(std::move(o));
+}
+
+// -------------------------------------------------------- experiment keys ---
+
+bool replays(const Experiment& e) { return e.replay_every > 0; }
+bool generates_trace(const Experiment& e) { return e.churn_schedule.empty(); }
+
+/// Churn borrows the replay knobs for its replay-validation epochs.
+constexpr Gate kReplayGate{
+    K::Churn, replays,
+    "requires \"replay_every\" > 0 (the replay knobs configure the "
+    "replay-validation epochs)"};
+/// An explicit schedule replaces the generator wholesale; a generator knob
+/// alongside it would be silently inert.
+constexpr Gate kGeneratorGate{
+    K::Churn, generates_trace,
+    "is not valid alongside an explicit \"schedule\" (the schedule replaces "
+    "the trace generator)"};
+
+constexpr Range kPerEpoch = closed(0, 100, "<= 100");
+constexpr Range kSearchCount = closed(1, 1000, "in [1, 1000]");
+
+/// Experiment object keys, in serialize order.
+constexpr ExperimentKey kExperimentKeys[] = {
+    {.name = "id", .field = typed<&Experiment::id, read_name>,
+     .required = true},
+    {.name = "title",
+     .field = {typed<&Experiment::title, read_string>.read, write_title}},
+    {.name = "kind", .field = {read_kind, write_kind}, .required = true},
+    {.name = "scenario", .field = {read_scenario, write_scenario},
+     .kinds = kScenarioKinds,
+     .hint = "design, replay and churn instances derive from the node "
+             "counts via the fixed density law; mopt is an analytic model"},
+    {.name = "stacks", .field = typed<&Experiment::stacks, read_stacks>,
+     .kinds = kScenarioKinds, .required = true,
+     .hint = "use \"heuristics\" for design and replay series and \"cards\" "
+             "for mopt; the singular \"stack\" selects a replayed protocol "
+             "stack"},
+    {.name = "rates_pps", .field = typed<&Experiment::rates_pps, read_rates>,
+     .kinds = axis_kinds("rates_pps"), .range = kRate, .required = true,
+     .hint = "set the density rate via scenario.rate_pps, the replay rate "
+             "via \"rate_pps\""},
+    {.name = "node_counts",
+     .field = typed<&Experiment::node_counts, read_nodes>,
+     .kinds = axis_kinds("node_counts"),
+     .range = closed(2, kInf, ">= 2 nodes"), .required = true},
+    {.name = "heuristics",
+     .field = typed<&Experiment::heuristics, read_heuristics>,
+     .kinds = axis_kinds("heuristics"), .required = true,
+     .hint = "the churn serving loop always races warm-start repair against "
+             "the from-scratch portfolio; its series are node counts"},
+    {.name = "demands", .field = typed<&Experiment::demands, read_uint>,
+     .kinds = kInstanceKinds, .range = kSearchCount},
+    {.name = "starts", .field = typed<&Experiment::starts, read_uint>,
+     .kinds = kInstanceKinds, .range = kSearchCount},
+    {.name = "anneal_iters",
+     .field = typed<&Experiment::anneal_iters, read_uint>,
+     .kinds = kInstanceKinds, .range = closed(0, 1e6, "<= 1e6")},
+    {.name = "presolve", .field = typed<&Experiment::presolve, read_bool>,
+     .kinds = kInstanceKinds},
+    {.name = "field_scale",
+     .field = typed<&Experiment::field_scale, read_finite>,
+     .kinds = kInstanceKinds,
+     .range = above(0, 10, "in (0, 10] (multiplier on the density-law "
+                           "field side)")},
+    {.name = "epochs", .field = typed<&Experiment::epochs, read_uint>,
+     .kinds = axis_kinds("epochs"),
+     .range = closed(2, 10000, "in [2, 10000] (epoch 0 is the cold design; "
+                               "churn needs at least one more)")},
+    {.name = "fallback_pct",
+     .field = typed<&Experiment::fallback_pct, read_finite>,
+     .kinds = kinds(K::Churn), .range = above(0, 100, "in (0, 100]")},
+    {.name = "replay_every",
+     .field = typed<&Experiment::replay_every, read_uint>,
+     .kinds = kinds(K::Churn), .range = closed(0, 10000, "<= 10000")},
+    {.name = "arrivals_per_epoch",
+     .field = typed<&Experiment::arrivals_per_epoch, read_uint>,
+     .kinds = kinds(K::Churn), .range = kPerEpoch, .gate = kGeneratorGate},
+    {.name = "departures_per_epoch",
+     .field = typed<&Experiment::departures_per_epoch, read_uint>,
+     .kinds = kinds(K::Churn), .range = kPerEpoch, .gate = kGeneratorGate},
+    {.name = "swings_per_epoch",
+     .field = typed<&Experiment::swings_per_epoch, read_uint>,
+     .kinds = kinds(K::Churn), .range = kPerEpoch, .gate = kGeneratorGate},
+    {.name = "failures_per_epoch",
+     .field = typed<&Experiment::failures_per_epoch, read_uint>,
+     .kinds = kinds(K::Churn), .range = kPerEpoch, .gate = kGeneratorGate},
+    {.name = "rate_swing", .field = typed<&Experiment::rate_swing, read_finite>,
+     .kinds = kinds(K::Churn),
+     .range = closed(0, 0.9, "in [0, 0.9] (a factor of zero would silence "
+                             "the demand)"),
+     .gate = kGeneratorGate},
+    {.name = "move_fraction",
+     .field = typed<&Experiment::move_fraction, read_finite>,
+     .kinds = kinds(K::Churn), .range = closed(0, 1, "in [0, 1]"),
+     .gate = kGeneratorGate},
+    {.name = "move_sigma_m",
+     .field = typed<&Experiment::move_sigma_m, read_finite>,
+     .kinds = kinds(K::Churn), .range = above(0, 1e4, "in (0, 1e4] meters"),
+     .gate = kGeneratorGate},
+    {.name = "schedule", .field = {read_schedule, write_schedule},
+     .kinds = kinds(K::Churn)},
+    {.name = "stack", .field = typed<&Experiment::replay_stack, read_stack>,
+     .kinds = kinds(K::Replay),
+     .hint = "simulation kinds take a \"stacks\" array; kind \"churn\" takes "
+             "it when \"replay_every\" > 0",
+     .gate = kReplayGate},
+    {.name = "duration_s",
+     .field = typed<&Experiment::replay_duration_s, read_finite>,
+     .kinds = kinds(K::Replay), .range = above(0, 1e6, "in (0, 1e6] seconds"),
+     .hint = "design instances are solved, not simulated; simulation kinds "
+             "set scenario.duration_s; kind \"churn\" takes it when "
+             "\"replay_every\" > 0, and --quick clamps it itself",
+     .gate = kReplayGate},
+    {.name = "rate_pps",
+     .field = typed<&Experiment::replay_rate_pps, read_finite>,
+     .kinds = kinds(K::Replay), .range = kRate,
+     .hint = "simulation kinds set scenario.rate_pps; kind \"churn\" takes it "
+             "when \"replay_every\" > 0",
+     .gate = kReplayGate},
+    {.name = "battery_j", .field = typed<&Experiment::battery_j, read_finite>,
+     .kinds = kinds(K::Replay),
+     .range = closed(0, 1e9, "in [0, 1e9] joules (0 = infinite)"),
+     .hint = "churn replay-validation epochs run with infinite batteries"},
+    {.name = "demand_weights",
+     .field = typed<&Experiment::demand_weights, read_weights>,
+     .kinds = kinds(K::Replay, K::Churn), .range = kMultiplier},
+    {.name = "cards", .field = {read_cards, write_cards},
+     .kinds = axis_kinds("cards"), .required = true},
+    {.name = "rb", .field = typed<&Experiment::rb, read_rb>,
+     .kinds = axis_kinds("rb"),
+     .range = above(0, 0.5, "in (0, 0.5] — a relay both sends and receives "
+                            "each packet, so utilization beyond 1/2 is "
+                            "infeasible"),
+     .required = true},
+    {.name = "runs", .field = typed<&Experiment::runs, read_uint>,
+     .kinds = kReplicated, .range = closed(1, 10000, "in [1, 10000]")},
+    {.name = "seed", .field = typed<&Experiment::seed, read_uint>,
+     .kinds = kSeeded, .hint = "mopt is a deterministic model"},
+    {.name = "base_rate_pps",
+     .field = typed<&Experiment::base_rate_pps, read_finite>,
+     .kinds = kinds(K::Grid), .range = kRate},
+    {.name = "metrics", .field = {read_metrics, write_metrics}},
+    {.name = "quick", .field = {read_quick, write_quick},
+     .kinds = kAllKinds & ~kinds(K::Mopt), .hint = "mopt is already instant"},
+};
+
+std::span<const ExperimentKey> experiment_keys() { return kExperimentKeys; }
+
+// ------------------------------------------------------- cross-key checks ---
+
+/// Every explicit-schedule epoch and node reference must exist in every
+/// cell's instance — quick sizes included, or --quick would abort mid-run.
+void check_schedule_fits(const Experiment& e, const std::string& ctx) {
+  std::size_t min_n =
+      *std::min_element(e.node_counts.begin(), e.node_counts.end());
+  if (e.quick.node_counts)
+    for (const std::size_t n : *e.quick.node_counts) min_n = std::min(min_n, n);
+  const std::size_t min_epochs =
+      e.quick.epochs ? std::min(e.epochs, *e.quick.epochs) : e.epochs;
+  for (const churn::EpochEvents& ee : e.churn_schedule) {
+    if (ee.at >= min_epochs)
+      fail(ctx + " schedule entry at=" + std::to_string(ee.at) +
+           " is unreachable under quick epochs " + std::to_string(min_epochs));
+    const auto check_node = [&](graph::NodeId v) {
+      if (static_cast<std::size_t>(v) >= min_n)
+        fail(ctx + " schedule (at=" + std::to_string(ee.at) +
+             ") references node " + std::to_string(v) +
+             " but the smallest instance (full or quick) has only " +
+             std::to_string(min_n) + " nodes");
+    };
+    for (const churn::Event& ev : ee.events) {
+      switch (ev.op) {
+        case churn::EventOp::Arrive:
+          check_node(ev.source);
+          check_node(ev.destination);
+          break;
+        case churn::EventOp::Fail:
+        case churn::EventOp::Move: check_node(ev.node); break;
+        case churn::EventOp::Depart:
+        case churn::EventOp::RateSwing: break;
+      }
     }
-  } else if (e.kind == ExperimentKind::Churn) {
-    r.forbid("heuristics",
-             "is not valid for kind \"churn\" (the serving loop always "
-             "compares warm-start repair against the from-scratch "
-             "portfolio; series are node counts)");
   }
+}
 
-  if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("demands")) {
-      const auto n = as_uint(*p, ctx + " demands");
-      if (n == 0 || n > 1000) fail(ctx + " demands must be in [1, 1000]");
-      e.demands = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("starts")) {
-      const auto n = as_uint(*p, ctx + " starts");
-      if (n == 0 || n > 1000) fail(ctx + " starts must be in [1, 1000]");
-      e.starts = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("anneal_iters")) {
-      const auto n = as_uint(*p, ctx + " anneal_iters");
-      if (n > 1000000) fail(ctx + " anneal_iters must be <= 1e6");
-      e.anneal_iters = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("presolve")) {
-      if (!p->is_bool()) fail(ctx + " presolve must be a boolean");
-      e.presolve = p->as_bool();
-    }
-    if (const auto* p = r.optional("field_scale")) {
-      e.field_scale = as_finite(*p, ctx + " field_scale");
-      if (!(e.field_scale > 0.0) || e.field_scale > 10.0)
-        fail(ctx + " field_scale must be in (0, 10] "
-                   "(multiplier on the density-law field side)");
-    }
-    // Cross-check: every instance must be able to host the demand count,
-    // or make_design_instance would abort mid-run after earlier
-    // experiments already burned their wall time.
-    const auto check_capacity = [&](std::size_t n) {
+/// Rules that tie several keys together, checked once every key is read.
+void check_cross_keys(ObjectReader& r, const Experiment& e,
+                      const std::string& ctx) {
+  // Gated keys: churn's replay knobs need replay epochs, and its generator
+  // knobs are exclusive with an explicit schedule.
+  for (const ExperimentKey& k : kExperimentKeys)
+    if (k.gated_off(e)) r.forbid(k.name, k.gate.why);
+
+  // Every instance must host the demand count, or make_design_instance
+  // would abort mid-run after earlier experiments burned their wall time.
+  if (kInstanceKinds & bit(e.kind)) {
+    for (const std::size_t n : e.node_counts)
       if (e.demands > n * (n - 1))
         fail(ctx + " requests " + std::to_string(e.demands) +
              " demands but node count " + std::to_string(n) + " has only " +
              std::to_string(n * (n - 1)) +
              " distinct (source, destination) pairs");
-    };
-    for (const std::size_t n : e.node_counts) check_capacity(n);
-  } else {
-    r.forbid("heuristics",
-             "is only valid for kinds \"design\" and \"replay\"");
-    r.forbid("demands",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("starts",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("anneal_iters",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("presolve",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("field_scale",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-  }
-
-  if (e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("epochs")) {
-      const auto n = as_uint(*p, ctx + " epochs");
-      if (n < 2 || n > 10000)
-        fail(ctx + " epochs must be in [2, 10000] (epoch 0 is the cold "
-             "design; churn needs at least one more)");
-      e.epochs = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("fallback_pct")) {
-      e.fallback_pct = as_finite(*p, ctx + " fallback_pct");
-      if (!(e.fallback_pct > 0.0) || e.fallback_pct > 100.0)
-        fail(ctx + " fallback_pct must be in (0, 100]");
-    }
-    if (const auto* p = r.optional("replay_every")) {
-      const auto n = as_uint(*p, ctx + " replay_every");
-      if (n > 10000) fail(ctx + " replay_every must be <= 10000");
-      e.replay_every = static_cast<std::size_t>(n);
-    }
-    if (const auto* sched = r.optional("schedule")) {
-      // An explicit schedule replaces the generator wholesale; a generator
-      // knob alongside it would be silently inert — reject the mix.
-      for (const char* k :
-           {"arrivals_per_epoch", "departures_per_epoch", "swings_per_epoch",
-            "failures_per_epoch", "rate_swing", "move_fraction",
-            "move_sigma_m"})
-        r.forbid(k, "is not valid alongside an explicit \"schedule\" (the "
-                    "schedule replaces the trace generator)");
-      e.churn_schedule =
-          parse_churn_schedule(*sched, e.epochs, e.demands, ctx);
-    } else {
-      const auto uint_knob = [&](const char* key, std::size_t& dst) {
-        if (const auto* p = r.optional(key)) {
-          const auto n = as_uint(*p, ctx + " " + key);
-          if (n > 100) fail(ctx + " " + std::string(key) +
-                            " must be <= 100");
-          dst = static_cast<std::size_t>(n);
-        }
-      };
-      uint_knob("arrivals_per_epoch", e.arrivals_per_epoch);
-      uint_knob("departures_per_epoch", e.departures_per_epoch);
-      uint_knob("swings_per_epoch", e.swings_per_epoch);
-      uint_knob("failures_per_epoch", e.failures_per_epoch);
-      if (const auto* p = r.optional("rate_swing")) {
-        e.rate_swing = as_finite(*p, ctx + " rate_swing");
-        if (e.rate_swing < 0.0 || e.rate_swing > 0.9)
-          fail(ctx + " rate_swing must be in [0, 0.9] (a factor of zero "
-               "would silence the demand)");
-      }
-      if (const auto* p = r.optional("move_fraction")) {
-        e.move_fraction = as_finite(*p, ctx + " move_fraction");
-        if (e.move_fraction < 0.0 || e.move_fraction > 1.0)
-          fail(ctx + " move_fraction must be in [0, 1]");
-      }
-      if (const auto* p = r.optional("move_sigma_m")) {
-        e.move_sigma_m = as_finite(*p, ctx + " move_sigma_m");
-        if (!(e.move_sigma_m > 0.0) || e.move_sigma_m > 1e4)
-          fail(ctx + " move_sigma_m must be in (0, 1e4] meters");
-      }
-    }
-  } else {
-    for (const char* k :
-         {"epochs", "arrivals_per_epoch", "departures_per_epoch",
-          "swings_per_epoch", "failures_per_epoch", "rate_swing",
-          "move_fraction", "move_sigma_m", "fallback_pct", "replay_every",
-          "schedule"})
-      r.forbid(k, "is only valid for kind \"churn\"");
-  }
-
-  const bool churn_replays =
-      e.kind == ExperimentKind::Churn && e.replay_every > 0;
-  if (e.kind == ExperimentKind::Replay || churn_replays) {
-    if (const auto* p = r.optional("stack")) {
-      e.replay_stack = as_string(*p, ctx + " stack");
-      net::stack_preset(e.replay_stack);  // throws listing valid presets
-    }
-    if (const auto* p = r.optional("duration_s")) {
-      e.replay_duration_s = as_finite(*p, ctx + " duration_s");
-      if (!(e.replay_duration_s > 0.0) || e.replay_duration_s > 1e6)
-        fail(ctx + " duration_s must be in (0, 1e6] seconds");
-    }
-    if (const auto* p = r.optional("rate_pps")) {
-      e.replay_rate_pps = as_finite(*p, ctx + " rate_pps");
-      if (!(e.replay_rate_pps > 0.0) || e.replay_rate_pps > 1e6)
-        fail(ctx + " rate_pps must be in (0, 1e6]");
-    }
-  }
-  if (e.kind == ExperimentKind::Replay) {
-    if (const auto* p = r.optional("battery_j")) {
-      e.battery_j = as_finite(*p, ctx + " battery_j");
-      if (e.battery_j < 0.0 || e.battery_j > 1e9)
-        fail(ctx + " battery_j must be in [0, 1e9] joules (0 = infinite)");
-    }
-    // A lifetime heuristic without a battery would silently degenerate to
-    // its base variant and mislabel the series — demand the budget.
-    for (const auto& name : e.heuristics)
-      if (opt::heuristic_uses_battery_budget(name) && !(e.battery_j > 0.0))
-        fail(ctx + " lists heuristic \"" + name +
-             "\" but battery_j is 0 — lifetime-constrained search needs a "
-             "positive per-node battery budget");
-  } else if (e.kind == ExperimentKind::Churn) {
-    if (!churn_replays) {
-      r.forbid("stack", "requires \"replay_every\" > 0 (no replay-"
-                        "validation epochs to run a stack on)");
-      r.forbid("rate_pps", "requires \"replay_every\" > 0");
-      r.forbid("duration_s", "requires \"replay_every\" > 0");
-    }
-    r.forbid("battery_j",
-             "is not valid for kind \"churn\" (replay-validation epochs "
-             "run with infinite batteries)");
-  } else {
-    r.forbid("stack",
-             "is only valid for kind \"replay\" (simulation kinds take a "
-             "\"stacks\" array)");
-    r.forbid("rate_pps", "is only valid for kind \"replay\"");
-    r.forbid("battery_j", "is only valid for kind \"replay\"");
-    if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Mopt)
-      r.forbid("duration_s",
-               "is only valid for kinds with a simulated horizon (the "
-               "\"replay\" kind, or scenario.duration_s on sim kinds)");
-  }
-  if (e.kind == ExperimentKind::Replay || e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("demand_weights")) {
-      if (!p->is_array() || p->as_array().empty())
-        fail(ctx + " demand_weights must be a non-empty array");
-      for (const auto& w : p->as_array()) {
-        const double m = as_finite(w, ctx + " demand_weights entry");
-        if (!(m > 0.0) || m > 1e3)
-          fail(ctx + " demand_weights entries must be in (0, 1e3], got " +
-               json::dump(w));
-        e.demand_weights.push_back(m);
-      }
-    }
-  } else {
-    r.forbid("demand_weights",
-             "is only valid for kinds \"replay\" and \"churn\"");
-  }
-
-  if (e.kind == ExperimentKind::Sweep || e.kind == ExperimentKind::Density ||
-      e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("runs")) {
-      const auto n = as_uint(*p, ctx + " runs");
-      if (n == 0 || n > 10000) fail(ctx + " runs must be in [1, 10000]");
-      e.runs = static_cast<std::size_t>(n);
-    }
-  } else {
-    r.forbid("runs",
-             "is only valid for kinds \"sweep\", \"density\", \"design\", "
-             "\"replay\" and \"churn\"");
-  }
-
-  if (e.kind == ExperimentKind::Grid) {
-    if (const auto* p = r.optional("base_rate_pps")) {
-      e.base_rate_pps = as_finite(*p, ctx + " base_rate_pps");
-      if (!(e.base_rate_pps > 0.0) || e.base_rate_pps > 1e6)
-        fail(ctx + " base_rate_pps must be in (0, 1e6]");
-    }
-  } else {
-    r.forbid("base_rate_pps", "is only valid for kind \"grid\"");
-  }
-
-  if (e.kind == ExperimentKind::Mopt) {
-    const json::Value& cards = r.required("cards");
-    if (!cards.is_array() || cards.as_array().empty())
-      fail(ctx + " cards must be a non-empty array");
-    for (const auto& cv : cards.as_array()) {
-      ObjectReader cr(cv, ctx + " cards entry");
-      CardSpec c;
-      c.card = as_string(cr.required("card"), ctx + " card");
-      // Canonicalize case (lookup is case-insensitive, legends are not)
-      // and reject unknown names in one step.
-      c.card = energy::card_by_name(c.card).name;
-      c.distance_m = as_finite(cr.required("distance_m"), ctx + " distance_m");
-      if (!(c.distance_m > 0.0)) fail(ctx + " distance_m must be positive");
-      cr.finish();
-      // Series legends render the distance rounded to whole meters, so two
-      // cards that only differ past that would silently merge into one
-      // table column — treat them as duplicates.
-      for (const auto& prev : e.cards)
-        if (prev.card == c.card &&
-            std::llround(prev.distance_m) == std::llround(c.distance_m))
-          fail("duplicate card \"" + c.card + "\" in " + ctx +
-               " — distances render identically in the legend (D=" +
-               std::to_string(std::llround(c.distance_m)) + "m)");
-      e.cards.push_back(std::move(c));
-    }
-    const json::Value& rb = r.required("rb");
-    if (!rb.is_array() || rb.as_array().empty())
-      fail(ctx + " rb must be a non-empty array");
-    for (const auto& x : rb.as_array()) {
-      const double v2 = as_finite(x, ctx + " rb entry");
-      if (!(v2 > 0.0) || v2 > 0.5)
-        fail(ctx + " rb entries must be in (0, 0.5] — a relay both sends "
-             "and receives each packet, so utilization beyond 1/2 is "
-             "infeasible; got " + json::dump(x));
-      for (const double prev : e.rb)
-        if (prev == v2) fail("duplicate rb value in " + ctx);
-      e.rb.push_back(v2);
-    }
-  } else {
-    r.forbid("cards", "is only valid for kind \"mopt\"");
-    r.forbid("rb", "is only valid for kind \"mopt\"");
-  }
-
-  if (const auto* p = r.optional("metrics"))
-    e.metrics = parse_metrics(*p, e.kind, ctx + " metrics");
-  else
-    e.metrics = default_metrics(e.kind);
-
-  // The certified-bound metrics only exist when the presolve pass ran.
-  if (e.kind == ExperimentKind::Design && !e.presolve)
-    for (const auto& m : e.metrics)
-      if (m.name == "lb" || m.name == "certified_gap_pct" ||
-          m.name == "reduced_nodes" || m.name == "reduced_edges")
-        fail(ctx + " metric \"" + m.name +
-             "\" requires \"presolve\": true on the experiment");
-
-  // The replay-validation metric only exists when replay epochs run.
-  if (e.kind == ExperimentKind::Churn && e.replay_every == 0)
-    for (const auto& m : e.metrics)
-      if (m.name == "replay_gap_pct")
-        fail(ctx + " metric \"replay_gap_pct\" requires \"replay_every\" "
-             "> 0 on the experiment");
-
-  if (e.kind != ExperimentKind::Mopt) {
-    if (const auto* p = r.optional("quick"))
-      e.quick = parse_quick(*p, e.kind, ctx + " quick");
-    if ((e.kind == ExperimentKind::Design ||
-         e.kind == ExperimentKind::Replay ||
-         e.kind == ExperimentKind::Churn) &&
-        e.quick.node_counts)
+    if (e.quick.node_counts)
       for (const std::size_t n : *e.quick.node_counts)
         if (e.demands > n * (n - 1))
           fail(ctx + " quick node count " + std::to_string(n) +
                " cannot host " + std::to_string(e.demands) + " demands");
-  } else {
-    r.forbid("quick", "is not valid for kind \"mopt\" (already instant)");
   }
 
-  // Every explicit-schedule node reference must exist in every cell's
-  // instance — quick node counts included, or --quick would abort mid-run.
-  if (!e.churn_schedule.empty()) {
-    std::size_t min_n = *std::min_element(e.node_counts.begin(),
-                                          e.node_counts.end());
-    if (e.quick.node_counts)
-      for (const std::size_t n : *e.quick.node_counts)
-        min_n = std::min(min_n, n);
-    const std::size_t min_epochs =
-        e.quick.epochs ? std::min(e.epochs, *e.quick.epochs) : e.epochs;
-    for (const churn::EpochEvents& ee : e.churn_schedule) {
-      if (ee.at >= min_epochs)
-        fail(ctx + " schedule entry at=" + std::to_string(ee.at) +
-             " is unreachable under quick epochs " +
-             std::to_string(min_epochs));
-      for (const churn::Event& ev : ee.events) {
-        const auto check_node = [&](graph::NodeId v2) {
-          if (static_cast<std::size_t>(v2) >= min_n)
-            fail(ctx + " schedule (at=" + std::to_string(ee.at) +
-                 ") references node " + std::to_string(v2) +
-                 " but the smallest instance (full or quick) has only " +
-                 std::to_string(min_n) + " nodes");
-        };
-        switch (ev.op) {
-          case churn::EventOp::Arrive:
-            check_node(ev.source);
-            check_node(ev.destination);
-            break;
-          case churn::EventOp::Fail:
-          case churn::EventOp::Move:
-            check_node(ev.node);
-            break;
-          case churn::EventOp::Depart:
-          case churn::EventOp::RateSwing:
-            break;
-        }
-      }
-    }
+  // The certified-bound metrics only exist when the presolve pass ran, and
+  // the replay-validation metric only when replay epochs run.
+  for (const MetricSpec& m : e.metrics) {
+    if (!e.presolve && (m.name == "lb" || m.name == "certified_gap_pct" ||
+                        m.name == "reduced_nodes" || m.name == "reduced_edges"))
+      fail(ctx + " metric \"" + m.name +
+           "\" requires \"presolve\": true on the experiment");
+    if (!replays(e) && m.name == "replay_gap_pct")
+      fail(ctx + " metric \"replay_gap_pct\" requires \"replay_every\" > 0 "
+           "on the experiment");
   }
 
+  // A lifetime heuristic without a battery would silently degenerate to
+  // its base variant and mislabel the series — demand the budget.
+  const ExperimentKey& battery = *find_key(experiment_keys(), "battery_j");
+  for (const auto& name : e.heuristics) {
+    if (!opt::heuristic_uses_battery_budget(name)) continue;
+    if (!battery.allows(e.kind))
+      fail("heuristic \"" + name + "\" in " + ctx +
+           " needs a battery budget and is only valid for " +
+           kind_list(battery.kinds) +
+           " (its \"battery_j\" defines the per-node budget)");
+    if (!(e.battery_j > 0.0))
+      fail(ctx + " lists heuristic \"" + name +
+           "\" but battery_j is 0 — lifetime-constrained search needs a "
+           "positive per-node battery budget");
+  }
+
+  if (!e.churn_schedule.empty()) check_schedule_fits(e, ctx);
+}
+
+// ------------------------------------------------------------- experiment ---
+
+Experiment parse_experiment(const json::Value& v, std::size_t index) {
+  const std::string base = "experiment #" + std::to_string(index + 1);
+  const auto ctx = [&](const Experiment& e) {
+    return e.id.empty() ? base : "experiment \"" + e.id + "\"";
+  };
+  ObjectReader r(v, base);
+  Experiment e;
+  for (const ExperimentKey& k : kExperimentKeys)
+    read_key(r, k, e, e.kind, ctx(e));
+  if (e.title.empty()) e.title = e.id;
+  check_cross_keys(r, e, ctx(e));
   r.finish();
   return e;
 }
 
-json::Object experiment_to_json(const Experiment& e) {
-  json::Object o;
-  o.emplace_back("id", e.id);
-  if (e.title != e.id) o.emplace_back("title", e.title);
-  o.emplace_back("kind", std::string(kind_name(e.kind)));
+void read_experiments(const json::Value& v, Manifest& m, const Range&,
+                      const std::string& ctx) {
+  if (!v.is_array() || v.as_array().empty())
+    fail(ctx + " must be a non-empty array");
+  for (std::size_t i = 0; i < v.as_array().size(); ++i) {
+    Experiment e = parse_experiment(v.as_array()[i], i);
+    for (const auto& prev : m.experiments)
+      if (prev.id == e.id)
+        fail("duplicate experiment id \"" + e.id +
+             "\" — ids must be unique within a manifest");
+    m.experiments.push_back(std::move(e));
+  }
+}
 
-  const bool sim = e.kind != ExperimentKind::Mopt &&
-                   e.kind != ExperimentKind::Design &&
-                   e.kind != ExperimentKind::Replay &&
-                   e.kind != ExperimentKind::Churn;
-  if (sim) {
-    o.emplace_back("scenario", scenario_to_json(e.scenario));
-    json::Array stacks;
-    for (const auto& s : e.stacks) stacks.emplace_back(s);
-    o.emplace_back("stacks", std::move(stacks));
-  }
-  if (e.kind == ExperimentKind::Sweep || e.kind == ExperimentKind::Grid) {
-    json::Array rates;
-    for (double r : e.rates_pps) rates.emplace_back(r);
-    o.emplace_back("rates_pps", std::move(rates));
-  }
-  if (e.kind == ExperimentKind::Density || e.kind == ExperimentKind::Design ||
-      e.kind == ExperimentKind::Replay || e.kind == ExperimentKind::Churn) {
-    json::Array nodes;
-    for (std::size_t n : e.node_counts)
-      nodes.emplace_back(static_cast<double>(n));
-    o.emplace_back("node_counts", std::move(nodes));
-  }
-  if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn) {
-    if (e.kind != ExperimentKind::Churn) {
-      json::Array heur;
-      for (const auto& h : e.heuristics) heur.emplace_back(h);
-      o.emplace_back("heuristics", std::move(heur));
-    }
-    o.emplace_back("demands", static_cast<double>(e.demands));
-    o.emplace_back("starts", static_cast<double>(e.starts));
-    o.emplace_back("anneal_iters", static_cast<double>(e.anneal_iters));
-    o.emplace_back("presolve", e.presolve);
-    o.emplace_back("field_scale", e.field_scale);
-  }
-  if (e.kind == ExperimentKind::Churn) {
-    o.emplace_back("epochs", static_cast<double>(e.epochs));
-    o.emplace_back("fallback_pct", e.fallback_pct);
-    o.emplace_back("replay_every", static_cast<double>(e.replay_every));
-    if (e.churn_schedule.empty()) {
-      o.emplace_back("arrivals_per_epoch",
-                     static_cast<double>(e.arrivals_per_epoch));
-      o.emplace_back("departures_per_epoch",
-                     static_cast<double>(e.departures_per_epoch));
-      o.emplace_back("swings_per_epoch",
-                     static_cast<double>(e.swings_per_epoch));
-      o.emplace_back("failures_per_epoch",
-                     static_cast<double>(e.failures_per_epoch));
-      o.emplace_back("rate_swing", e.rate_swing);
-      o.emplace_back("move_fraction", e.move_fraction);
-      o.emplace_back("move_sigma_m", e.move_sigma_m);
-    } else {
-      json::Array sched;
-      for (const churn::EpochEvents& ee : e.churn_schedule) {
-        json::Array evs;
-        for (const churn::Event& ev : ee.events) {
-          json::Object eo;
-          eo.emplace_back("op", std::string(churn::event_op_name(ev.op)));
-          switch (ev.op) {
-            case churn::EventOp::Arrive:
-              eo.emplace_back("source", static_cast<double>(ev.source));
-              eo.emplace_back("destination",
-                              static_cast<double>(ev.destination));
-              eo.emplace_back("weight", ev.weight);
-              break;
-            case churn::EventOp::Depart:
-              eo.emplace_back("demand", static_cast<double>(ev.demand));
-              break;
-            case churn::EventOp::RateSwing:
-              eo.emplace_back("demand", static_cast<double>(ev.demand));
-              eo.emplace_back("factor", ev.factor);
-              break;
-            case churn::EventOp::Fail:
-              eo.emplace_back("node", static_cast<double>(ev.node));
-              break;
-            case churn::EventOp::Move:
-              eo.emplace_back("node", static_cast<double>(ev.node));
-              eo.emplace_back("x", ev.x);
-              eo.emplace_back("y", ev.y);
-              break;
-          }
-          evs.push_back(std::move(eo));
-        }
-        sched.push_back(
-            json::Object{{"at", json::Value(static_cast<double>(ee.at))},
-                         {"events", json::Value(std::move(evs))}});
-      }
-      o.emplace_back("schedule", std::move(sched));
-    }
-  }
-  if (e.kind == ExperimentKind::Replay ||
-      (e.kind == ExperimentKind::Churn && e.replay_every > 0)) {
-    o.emplace_back("stack", e.replay_stack);
-    o.emplace_back("duration_s", e.replay_duration_s);
-    o.emplace_back("rate_pps", e.replay_rate_pps);
-  }
-  if (e.kind == ExperimentKind::Replay)
-    o.emplace_back("battery_j", e.battery_j);
-  if ((e.kind == ExperimentKind::Replay ||
-       e.kind == ExperimentKind::Churn) &&
-      !e.demand_weights.empty()) {
-    json::Array weights;
-    for (double w : e.demand_weights) weights.emplace_back(w);
-    o.emplace_back("demand_weights", std::move(weights));
-  }
-  if (e.kind == ExperimentKind::Mopt) {
-    json::Array cards;
-    for (const auto& c : e.cards)
-      cards.push_back(json::Object{{"card", json::Value(c.card)},
-                                   {"distance_m", json::Value(c.distance_m)}});
-    o.emplace_back("cards", std::move(cards));
-    json::Array rb;
-    for (double x : e.rb) rb.emplace_back(x);
-    o.emplace_back("rb", std::move(rb));
-  }
-  if (e.kind == ExperimentKind::Sweep || e.kind == ExperimentKind::Density ||
-      e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn)
-    o.emplace_back("runs", static_cast<double>(e.runs));
-  if (e.kind != ExperimentKind::Mopt)
-    o.emplace_back("seed", static_cast<double>(e.seed));
-  if (e.kind == ExperimentKind::Grid)
-    o.emplace_back("base_rate_pps", e.base_rate_pps);
+json::Value write_experiments(const Manifest& m) {
+  json::Array exps;
+  for (const Experiment& e : m.experiments)
+    exps.emplace_back(write_keys<Experiment>(kExperimentKeys, e));
+  return exps;
+}
 
-  json::Array metrics;
-  for (const auto& m : e.metrics)
-    metrics.push_back(
-        json::Object{{"name", json::Value(m.name)},
-                     {"precision", json::Value(static_cast<double>(
-                                       m.precision))}});
-  o.emplace_back("metrics", std::move(metrics));
+/// Manifest object keys, in serialize order.
+constexpr Key<Manifest> kManifestKeys[] = {
+    {.name = "name", .field = typed<&Manifest::name, read_name>,
+     .required = true},
+    {.name = "title", .field = typed<&Manifest::title, read_string>},
+    {.name = "experiments",
+     .field = {read_experiments, write_experiments},
+     .required = true},
+};
 
-  json::Object quick;
-  if (e.quick.duration_s) quick.emplace_back("duration_s", *e.quick.duration_s);
-  if (e.quick.runs)
-    quick.emplace_back("runs", static_cast<double>(*e.quick.runs));
-  if (e.quick.rates_pps) {
-    json::Array rates;
-    for (double r : *e.quick.rates_pps) rates.emplace_back(r);
-    quick.emplace_back("rates_pps", std::move(rates));
-  }
-  if (e.quick.node_counts) {
-    json::Array nodes;
-    for (std::size_t n : *e.quick.node_counts)
-      nodes.emplace_back(static_cast<double>(n));
-    quick.emplace_back("node_counts", std::move(nodes));
-  }
-  if (e.quick.epochs)
-    quick.emplace_back("epochs", static_cast<double>(*e.quick.epochs));
-  if (!quick.empty()) o.emplace_back("quick", std::move(quick));
-  return o;
+/// Number of cells along the axis a kind names by key: the length of the
+/// key's list, or the value itself for a count (churn's epochs).
+std::size_t axis_length(const Experiment& e, const char* key) {
+  const json::Value v = find_key(experiment_keys(), key)->field.write(e);
+  if (v.is_array()) return v.as_array().size();
+  return v.is_number() ? static_cast<std::size_t>(v.as_number()) : 0;
 }
 
 }  // namespace
 
 // ------------------------------------------------------------------- kinds ---
 
-const char* kind_name(ExperimentKind k) {
-  switch (k) {
-    case ExperimentKind::Sweep: return "sweep";
-    case ExperimentKind::Density: return "density";
-    case ExperimentKind::Grid: return "grid";
-    case ExperimentKind::Mopt: return "mopt";
-    case ExperimentKind::Design: return "design";
-    case ExperimentKind::Replay: return "replay";
-    case ExperimentKind::Churn: return "churn";
-  }
-  return "?";
-}
+std::span<const KindInfo> kind_table() { return kKinds; }
 
 ExperimentKind kind_from_name(const std::string& name) {
-  if (name == "sweep") return ExperimentKind::Sweep;
-  if (name == "density") return ExperimentKind::Density;
-  if (name == "grid") return ExperimentKind::Grid;
-  if (name == "mopt") return ExperimentKind::Mopt;
-  if (name == "design") return ExperimentKind::Design;
-  if (name == "replay") return ExperimentKind::Replay;
-  if (name == "churn") return ExperimentKind::Churn;
-  fail("unknown experiment kind \"" + name +
-       "\" (valid: sweep, density, grid, mopt, design, replay, churn)");
-}
-
-const std::vector<std::string>& metric_names(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::Sweep:
-    case ExperimentKind::Density: return kSimMetrics;
-    case ExperimentKind::Grid: return kGridMetrics;
-    case ExperimentKind::Mopt: return kMoptMetrics;
-    case ExperimentKind::Design: return kDesignMetrics;
-    case ExperimentKind::Replay: return kReplayMetrics;
-    case ExperimentKind::Churn: return kChurnMetrics;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+    if (name == kKinds[i].name) return static_cast<ExperimentKind>(i);
+    names.emplace_back(kKinds[i].name);
   }
-  return kSimMetrics;
+  fail("unknown experiment kind \"" + name + "\" (valid: " + join(names) +
+       ")");
 }
 
-std::string metric_display_name(const std::string& name) {
-  for (const MetricInfo& m : kSimMetricInfo)
+std::string metric_display_name(ExperimentKind kind, const std::string& name) {
+  for (const MetricInfo& m : kind_info(kind).metrics)
     if (name == m.name) return m.display;
-  for (const MetricInfo& m : kGridMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kMoptMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kDesignMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kReplayMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kChurnMetricInfo)
-    if (name == m.name) return m.display;
-  fail("no display name for metric \"" + name + "\"");
+  fail("no display name for metric \"" + name + "\" of kind \"" +
+       kind_name(kind) + "\"");
+}
+
+std::vector<std::string> manifest_key_names() {
+  std::vector<std::string> out;
+  for (const Key<Manifest>& k : kManifestKeys) out.emplace_back(k.name);
+  for (const ExperimentKey& k : kExperimentKeys) out.emplace_back(k.name);
+  for (const ScenarioKey& k : kScenarioKeys) out.emplace_back(k.name);
+  return out;
 }
 
 // ---------------------------------------------------------------- scenario ---
 
 net::ScenarioConfig ScenarioSpec::resolve() const {
-  const ScenarioPreset* entry = nullptr;
-  for (const ScenarioPreset& p : kScenarioPresetTable)
-    if (preset == p.name) entry = &p;
-  if (!entry)
-    fail("unknown scenario preset \"" + preset +
-         "\" (valid: " + join(kScenarioPresets) + ")");
-  net::ScenarioConfig c = entry->make(*this);
+  net::ScenarioConfig c = find_preset(preset)->make(*this);
   if (node_count) c.node_count = *node_count;
   if (field_w) c.field_w = *field_w;
   if (field_h) c.field_h = *field_h;
@@ -1321,33 +1321,9 @@ net::ScenarioConfig ScenarioSpec::resolve() const {
 Manifest Manifest::from_json(const json::Value& v) {
   Manifest m;
   ObjectReader r(v, "manifest");
-  m.name = as_string(r.required("name"), "manifest name");
-  if (m.name.empty()) fail("manifest name must be non-empty");
-  // The name becomes the default output filename stem (eend_run writes
-  // <name>.csv / <name>.jsonl in the working directory); path separators
-  // or other special characters would escape it.
-  for (const char c : m.name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!ok)
-      fail("manifest name \"" + m.name +
-           "\" may only contain letters, digits, '_' and '-' (it is used "
-           "as an output filename stem)");
-  }
-  if (const auto* p = r.optional("title"))
-    m.title = as_string(*p, "manifest title");
-
-  const json::Value& exps = r.required("experiments");
-  if (!exps.is_array() || exps.as_array().empty())
-    fail("manifest experiments must be a non-empty array");
-  for (std::size_t i = 0; i < exps.as_array().size(); ++i) {
-    Experiment e = parse_experiment(exps.as_array()[i], i);
-    for (const auto& prev : m.experiments)
-      if (prev.id == e.id)
-        fail("duplicate experiment id \"" + e.id +
-             "\" — ids must be unique within a manifest");
-    m.experiments.push_back(std::move(e));
-  }
+  // Manifest keys apply whatever the experiments' kinds.
+  for (const Key<Manifest>& k : kManifestKeys)
+    read_key(r, k, m, ExperimentKind{}, "manifest");
   r.finish();
   return m;
 }
@@ -1368,59 +1344,20 @@ Manifest Manifest::load(const std::string& path) {
   }
 }
 
-// GCC 12's -Warray-bounds misfires on the grow-from-empty reallocation
-// path of vector<pair<string, Value>> at -O2 (stl_pair.h, inlined from the
-// emplace_back below); the function is a plain append sequence.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Warray-bounds"
-#endif
 json::Value Manifest::to_json() const {
-  json::Object o;
-  o.emplace_back("name", name);
-  if (!title.empty()) o.emplace_back("title", title);
-  json::Array exps;
-  for (const auto& e : experiments) exps.push_back(experiment_to_json(e));
-  o.emplace_back("experiments", std::move(exps));
-  return json::Value(std::move(o));
+  return write_keys<Manifest>(kManifestKeys, *this);
 }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 std::string Manifest::serialize() const { return json::dump(to_json(), 2); }
 
 std::vector<std::string> Manifest::experiment_summaries() const {
   std::vector<std::string> out;
   for (const Experiment& e : experiments) {
-    std::size_t series = 0, xs = 0;
-    switch (e.kind) {
-      case ExperimentKind::Sweep:
-      case ExperimentKind::Grid:
-        series = e.stacks.size();
-        xs = e.rates_pps.size();
-        break;
-      case ExperimentKind::Density:
-        series = e.stacks.size();
-        xs = e.node_counts.size();
-        break;
-      case ExperimentKind::Mopt:
-        series = e.cards.size();
-        xs = e.rb.size();
-        break;
-      case ExperimentKind::Design:
-      case ExperimentKind::Replay:
-        series = e.heuristics.size();
-        xs = e.node_counts.size();
-        break;
-      case ExperimentKind::Churn:
-        series = e.node_counts.size();
-        xs = e.epochs;
-        break;
-    }
-    out.push_back(e.id + "  [" + kind_name(e.kind) + "]  " +
-                  std::to_string(series) + " series x " +
-                  std::to_string(xs) + " x-values  " + e.title);
+    const KindInfo& k = kind_info(e.kind);
+    out.push_back(e.id + "  [" + k.name + "]  " +
+                  std::to_string(axis_length(e, k.series_key)) +
+                  " series x " + std::to_string(axis_length(e, k.x_key)) +
+                  " x-values  " + e.title);
   }
   return out;
 }

@@ -5,8 +5,8 @@
 //
 // A manifest is a list of experiments; each experiment is one "figure's
 // worth" of cells and produces a stream of ResultRows (see result_sink.hpp)
-// when executed by ExperimentEngine. Four kinds cover every evaluation
-// shape in the paper:
+// when executed by ExperimentEngine. Seven kinds cover every evaluation
+// shape:
 //
 //   sweep    (stack × rate) replication grid        — Figs. 8-12, ablations
 //   density  (stack × node count) at a fixed rate   — Table 2
@@ -25,11 +25,14 @@
 // Parsing is strict: unknown keys, duplicate experiment ids, duplicate
 // cells (repeated stacks / rates / node counts), and out-of-range values
 // are rejected with actionable messages. Specs stay symbolic (preset name +
-// overrides) so serialize() round-trips to a canonical form.
+// overrides) so serialize() round-trips to a canonical form. Parse,
+// validation and serialize are driven by one key table in manifest.cpp
+// (name, kinds, range, member) and the per-kind facts by kind_table().
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +45,39 @@ namespace eend::core {
 
 enum class ExperimentKind { Sweep, Density, Grid, Mopt, Design, Replay, Churn };
 
-const char* kind_name(ExperimentKind k);
+/// One metric a kind can report: its manifest name, its table-banner label,
+/// and — for the kind's default metric set — its default table precision.
+struct MetricInfo {
+  const char* name;
+  const char* display;
+  int default_precision = -1;  ///< >= 0: part of the default metric set
+};
+
+/// Everything that differs per experiment kind outside the manifest key
+/// table. Parse, serialize, `--list`, TableSink and eend_run's flag checks
+/// all read it through kind_table(); which keys a kind accepts lives in the
+/// key table in manifest.cpp.
+struct KindInfo {
+  const char* name;
+  std::span<const MetricInfo> metrics;  ///< valid metrics, canonical order
+  const char* scenario_preset;  ///< default preset; nullptr = no scenario
+  const char* series_key;       ///< key whose entries are the table series
+  const char* x_key;            ///< key whose entries (or value) are the x axis
+  const char* x_header;         ///< first column header of the pivot tables
+  int x_precision;              ///< digits of the x cells; < 0 = integer
+  /// Replicated kinds: they take `runs`, and their tables show mean +- ci95.
+  bool has_runs;
+  bool has_seed;
+};
+
+/// Every kind, in ExperimentKind order.
+std::span<const KindInfo> kind_table();
+
+inline const KindInfo& kind_info(ExperimentKind k) {
+  return kind_table()[static_cast<std::size_t>(k)];
+}
+
+inline const char* kind_name(ExperimentKind k) { return kind_info(k).name; }
 ExperimentKind kind_from_name(const std::string& name);
 
 /// Scenario reference: a named preset plus explicit overrides, resolved to
@@ -172,12 +207,13 @@ struct Manifest {
   std::vector<std::string> experiment_summaries() const;
 };
 
-/// Metric names valid for `kind`, in canonical order (also the default
-/// metric set for sweep-less kinds).
-const std::vector<std::string>& metric_names(ExperimentKind kind);
+/// Human label used in `kind`'s table banners ("delivery ratio", "energy
+/// goodput (bit/J)", ...). Throws on names the kind does not report.
+std::string metric_display_name(ExperimentKind kind, const std::string& name);
 
-/// Human label used in table banners ("delivery ratio", "energy goodput
-/// (bit/J)", ...). Throws on unknown names.
-std::string metric_display_name(const std::string& name);
+/// Every key the manifest schema declares for manifest, experiment and
+/// scenario objects, in serialize order (the README schema table must name
+/// each).
+std::vector<std::string> manifest_key_names();
 
 }  // namespace eend::core

@@ -101,38 +101,14 @@ void TableSink::end_experiment(const Experiment& e) {
                              << ") in experiment " << r.experiment);
   }
 
-  const auto x_header = [&]() -> std::string {
-    switch (e.kind) {
-      case ExperimentKind::Sweep:
-      case ExperimentKind::Grid: return "rate (pkt/s)";
-      case ExperimentKind::Density:
-      case ExperimentKind::Design:
-      case ExperimentKind::Replay: return "# of nodes";
-      case ExperimentKind::Churn: return "epoch";
-      case ExperimentKind::Mopt: return "R/B";
-    }
-    return "x";
-  }();
+  const KindInfo& kind = kind_info(e.kind);
   const auto x_cell = [&](double x) {
-    switch (e.kind) {
-      case ExperimentKind::Density:
-      case ExperimentKind::Design:
-      case ExperimentKind::Replay:
-      case ExperimentKind::Churn:
-        return std::to_string(static_cast<long long>(x));
-      case ExperimentKind::Mopt: return Table::num(x, 2);
-      default: return Table::num(x, 1);
-    }
+    return kind.x_precision < 0 ? std::to_string(static_cast<long long>(x))
+                                : Table::num(x, kind.x_precision);
   };
-  // Analytic kinds have no replication spread; "x +- 0" would be noise.
-  const bool with_ci = e.kind == ExperimentKind::Sweep ||
-                       e.kind == ExperimentKind::Density ||
-                       e.kind == ExperimentKind::Design ||
-                       e.kind == ExperimentKind::Replay ||
-                       e.kind == ExperimentKind::Churn;
 
   for (const MetricSpec& metric : e.metrics) {
-    std::vector<std::string> header{x_header};
+    std::vector<std::string> header{kind.x_header};
     for (const auto& s : series) header.push_back(s);
     Table t(std::move(header));
     for (const double x : xs) {
@@ -145,14 +121,17 @@ void TableSink::end_experiment(const Experiment& e) {
             if (m.name == metric.name) found = &m;
         EEND_CHECK_MSG(found, "metric " << metric.name << " missing for ("
                                         << s << ", x=" << x << ")");
-        cells.push_back(with_ci
+        // Kinds without replications have no spread; "x +- 0" would be
+        // noise.
+        cells.push_back(kind.has_runs
                             ? Table::num_ci(found->mean, found->ci95,
                                             metric.precision)
                             : Table::num(found->mean, metric.precision));
       }
       t.add_row(std::move(cells));
     }
-    print_table(os_, e.title + " — " + metric_display_name(metric.name), t);
+    print_table(os_,
+                e.title + " — " + metric_display_name(e.kind, metric.name), t);
   }
   rows_.clear();
 }

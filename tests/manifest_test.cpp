@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/experiment_engine.hpp"
@@ -12,6 +14,7 @@
 #include "util/check.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace eend::core {
 namespace {
@@ -521,6 +524,20 @@ TEST(Manifest, RejectsOutOfRangeValues) {
           "runs":2.5}]})");
       },
       "non-negative integer");
+  // A quick override may shrink a run, never exceed what the full run
+  // accepts: it is validated by the same-named top-level key's range.
+  expect_rejected(
+      [] {
+        Manifest::parse(sweep_manifest_json("quick", R"({"runs": 99999999})"));
+      },
+      "quick runs must be in [1, 10000]");
+  expect_rejected(
+      [] {
+        Manifest::parse(R"({"name":"c","experiments":[{"id":"ch",
+          "kind":"churn","node_counts":[40],
+          "quick":{"epochs":99999999}}]})");
+      },
+      "quick epochs must be in [2, 10000]");
 }
 
 TEST(Manifest, RejectsDuplicateCellDefinitions) {
@@ -658,6 +675,28 @@ TEST(Sinks, JsonlRowsAreValidJson) {
   ASSERT_NE(metrics, nullptr);
   EXPECT_DOUBLE_EQ(metrics->find("delivery_ratio")->find("mean")->as_number(),
                    0.75);
+}
+
+TEST(Sinks, TableBannerUsesTheKindsMetricLabel) {
+  // "active_nodes" is a grid, replay and churn metric; the banner must use
+  // the label of the experiment's own kind.
+  Experiment e;
+  e.id = e.title = "ch";
+  e.kind = ExperimentKind::Churn;
+  e.metrics = {{"active_nodes", 1}};
+  ResultRow r;
+  r.experiment = e.id;
+  r.kind = "churn";
+  r.series = "n=40";
+  r.x_name = "epoch";
+  r.metrics.push_back({"active_nodes", 12.0, 0.5, 3});
+  std::ostringstream os;
+  TableSink sink(os);
+  sink.begin_experiment(e);
+  sink.row(r);
+  sink.end_experiment(e);
+  EXPECT_NE(os.str().find("active nodes (warm design)"), std::string::npos)
+      << os.str();
 }
 
 TEST(Engine, MoptExperimentStreamsDeterministicRows) {
@@ -862,6 +901,25 @@ TEST(Manifest, ChurnRejectsBadSchedules) {
             R"({"at":1,"events":[{"op":"depart","demand":99}]})"));
       },
       "out of range");
+  // Node ids past graph::NodeId must not wrap (2^32 + 1 -> node 1).
+  expect_rejected(
+      [&] {
+        Manifest::parse(sched(
+            R"({"at":1,"events":[{"op":"fail","node":4294967297}]})"));
+      },
+      "node must be a node id in [0, 4294967294]");
+  expect_rejected(
+      [&] {
+        Manifest::parse(sched(R"({"at":1,"events":[
+            {"op":"arrive","source":4294967299,"destination":9}]})"));
+      },
+      "source must be a node id in [0, 4294967294]");
+  expect_rejected(
+      [&] {
+        Manifest::parse(sched(R"({"at":1,"events":[
+            {"op":"arrive","source":3,"destination":4294967299}]})"));
+      },
+      "destination must be a node id in [0, 4294967294]");
   // Generator knobs alongside an explicit schedule are inert — rejected.
   expect_rejected(
       [&] {
@@ -936,6 +994,22 @@ TEST(Manifest, ChurnRejectsKindMismatchedAndGatedKeys) {
   EXPECT_EQ(m.experiments[0].replay_stack, "dsr_active");
 }
 
+/// A churn experiment with replay epochs and an explicit schedule using
+/// every event op.
+std::string scheduled_churn_manifest_json() {
+  return churn_manifest_json(
+      R"("node_counts":[40],"epochs":6,"replay_every":2,
+         "stack":"dsr_active","duration_s":120,"rate_pps":8,
+         "schedule":[
+           {"at":1,"events":[
+             {"op":"arrive","source":3,"destination":9,"weight":2.5},
+             {"op":"rate","demand":0,"factor":0.5}]},
+           {"at":3,"events":[
+             {"op":"fail","node":12},
+             {"op":"move","node":5,"x":100.5,"y":200},
+             {"op":"depart","demand":1}]}])");
+}
+
 TEST(Manifest, ChurnSerializeRoundTripIsAFixedPoint) {
   for (const std::string& text : std::vector<std::string>{
            churn_manifest_json(
@@ -944,18 +1018,7 @@ TEST(Manifest, ChurnSerializeRoundTripIsAFixedPoint) {
                   "rate_swing":0.4,"move_fraction":0.1,"move_sigma_m":60,
                   "fallback_pct":5,"runs":2,"demand_weights":[0.5,1,3],
                   "quick":{"node_counts":[40],"runs":1,"epochs":3})"),
-           churn_manifest_json(
-               R"("node_counts":[40],"epochs":6,"replay_every":2,
-                  "stack":"dsr_active","duration_s":120,"rate_pps":8,
-                  "schedule":[
-                    {"at":1,"events":[
-                      {"op":"arrive","source":3,"destination":9,
-                       "weight":2.5},
-                      {"op":"rate","demand":0,"factor":0.5}]},
-                    {"at":3,"events":[
-                      {"op":"fail","node":12},
-                      {"op":"move","node":5,"x":100.5,"y":200},
-                      {"op":"depart","demand":1}]}])"),
+           scheduled_churn_manifest_json(),
        }) {
     const Manifest m1 = Manifest::parse(text);
     const std::string canon = m1.serialize();
@@ -963,6 +1026,104 @@ TEST(Manifest, ChurnSerializeRoundTripIsAFixedPoint) {
     EXPECT_EQ(canon, m2.serialize()) << "for manifest: " << text;
     EXPECT_TRUE(m1.to_json() == m2.to_json()) << "for manifest: " << text;
   }
+}
+
+// ---------------------------------------------------------- README drift ---
+
+#ifndef EEND_README
+#error "EEND_README must point at the repository README.md"
+#endif
+
+// The README's manifest schema table documents every key the parser
+// accepts; a key added to the key table without a README row fails here.
+TEST(Manifest, ReadmeNamesEverySchemaKey) {
+  std::ifstream in(EEND_README);
+  ASSERT_TRUE(in) << EEND_README;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string readme = buf.str();
+  const auto begin = readme.find("## Reproducing a figure from a manifest");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string section =
+      readme.substr(begin, readme.find("\n## ", begin + 1) - begin);
+  for (const std::string& key : manifest_key_names())
+    EXPECT_NE(section.find("`" + key + "`"), std::string::npos)
+        << "README manifest schema does not name `" << key << "`";
+}
+
+// ------------------------------------------------------------------ fuzz ---
+
+// Seeded mutation fuzzing of Manifest::parse over the shipped manifests:
+// bit flips, digit rewrites, truncations and splices drawn from a fixed
+// seed. Every mutant must either be rejected with a CheckError or
+// serialize to a canonical form that parses back to itself; anything else
+// (another exception type, a crash, a sanitizer report) is a defect.
+TEST(ManifestFuzz, MutantsThrowCheckErrorOrRoundTrip) {
+  std::vector<std::string> corpus;
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(EEND_MANIFEST_DIR))
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  for (const auto& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    corpus.push_back(buf.str());
+  }
+  ASSERT_FALSE(corpus.empty());
+  // No shipped manifest has an explicit churn schedule; seed one so the
+  // schedule validator is mutated too.
+  corpus.push_back(scheduled_churn_manifest_json());
+
+  constexpr int kMutantsPerFile = 200;
+  Rng rng(0xF022);
+  std::size_t accepted = 0;
+  for (const std::string& original : corpus) {
+    for (int i = 0; i < kMutantsPerFile; ++i) {
+      std::string text = original;
+      const auto ops = 1 + rng.next_below(3);
+      for (std::uint64_t op = 0; op < ops && !text.empty(); ++op) {
+        const auto pos = rng.next_below(text.size());
+        switch (rng.next_below(4)) {
+          case 0:  // flip one bit
+            text[pos] =
+                static_cast<char>(text[pos] ^ (1 << rng.next_below(8)));
+            break;
+          case 1:  // rewrite a digit: stays valid JSON, probes the ranges
+            for (std::size_t j = pos; j < text.size(); ++j)
+              if (text[j] >= '0' && text[j] <= '9') {
+                text[j] = static_cast<char>('0' + rng.next_below(10));
+                break;
+              }
+            break;
+          case 2:  // truncate
+            text.resize(pos);
+            break;
+          default: {  // splice a span of another manifest in
+            const std::string& donor = corpus[rng.next_below(corpus.size())];
+            const auto from = rng.next_below(donor.size());
+            const auto len = rng.next_below(donor.size() - from) % 200;
+            const auto cut = rng.next_below(text.size() - pos + 1) % 200;
+            text.replace(pos, cut, donor, from, len);
+          }
+        }
+      }
+      std::optional<Manifest> m;
+      try {
+        m = Manifest::parse(text);
+      } catch (const CheckError&) {
+        continue;
+      }
+      ++accepted;
+      const std::string canon = m->serialize();
+      ASSERT_EQ(Manifest::parse(canon).serialize(), canon)
+          << "mutant:\n" << text;
+    }
+  }
+  // The budget must reach the schema validation, not only the JSON syntax
+  // checks: some mutants survive parsing.
+  EXPECT_GT(accepted, corpus.size() * kMutantsPerFile / 20);
 }
 
 }  // namespace

@@ -91,6 +91,21 @@ std::vector<std::string> split_csv_list(const std::string& s) {
   return out;
 }
 
+/// An override flag whose knob no selected experiment's kind has would
+/// silently change nothing: say so (and which kinds take it) and reject it.
+bool override_applies(const eend::core::Manifest& manifest, const char* flag,
+                      bool eend::core::KindInfo::*knob) {
+  for (const auto& e : manifest.experiments)
+    if (eend::core::kind_info(e.kind).*knob) return true;
+  std::string kinds;
+  for (const auto& k : eend::core::kind_table())
+    if (k.*knob) kinds += std::string(kinds.empty() ? "" : ", ") + k.name;
+  std::cerr << "eend_run: --" << flag << " has no effect — none of the "
+            << "selected experiments is of a kind that takes it (" << kinds
+            << ")\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,21 +238,8 @@ int main(int argc, char** argv) {
                 << flags.get("runs", "") << "\"\n";
       return 2;
     }
-    // Replication counts only exist for sweep/density kinds; accepting the
-    // flag for a grid/mopt-only manifest would silently change nothing.
-    bool applies = false;
-    for (const auto& e : manifest.experiments)
-      applies |= e.kind == core::ExperimentKind::Sweep ||
-                 e.kind == core::ExperimentKind::Density ||
-                 e.kind == core::ExperimentKind::Design ||
-                 e.kind == core::ExperimentKind::Replay ||
-                 e.kind == core::ExperimentKind::Churn;
-    if (!applies) {
-      std::cerr << "eend_run: --runs has no effect — none of the selected "
-                   "experiments are sweep, density, design, replay or "
-                   "churn kind\n";
+    if (!override_applies(manifest, "runs", &core::KindInfo::has_runs))
       return 2;
-    }
     opts.runs_override = static_cast<std::size_t>(runs);
   }
   if (flags.has("seed")) {
@@ -250,16 +252,8 @@ int main(int argc, char** argv) {
                 << flags.get("seed", "") << "\"\n";
       return 2;
     }
-    // Only mopt (a closed-form model) has no seed; reject the flag when it
-    // cannot change anything, like --runs above.
-    bool applies = false;
-    for (const auto& e : manifest.experiments)
-      applies |= e.kind != core::ExperimentKind::Mopt;
-    if (!applies) {
-      std::cerr << "eend_run: --seed has no effect — all selected "
-                   "experiments are the analytic mopt kind\n";
+    if (!override_applies(manifest, "seed", &core::KindInfo::has_seed))
       return 2;
-    }
     opts.seed_override = static_cast<std::uint64_t>(seed);
   }
   opts.progress = quiet ? nullptr : &std::cerr;
