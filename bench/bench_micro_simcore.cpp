@@ -24,10 +24,12 @@
 // Emits BENCH_simcore.json (--json= overrides, "none" disables) and a
 // human table. Self-asserting: --assert-churn-speedup=X and
 // --assert-churn-events-per-s=Y make the binary exit non-zero when the
-// churn workload misses the floor — the CI release leg runs with both.
+// churn workload misses the floor, and --assert-network-events-per-s=Z
+// when the network anchor does — the CI legs run with all three.
 //
 // Flags: --quick, --quiet, --reps=N, --seed=S, --json=PATH,
-//        --assert-churn-speedup=X, --assert-churn-events-per-s=Y.
+//        --assert-churn-speedup=X, --assert-churn-events-per-s=Y,
+//        --assert-network-events-per-s=Z.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -209,6 +211,8 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.get("json", "BENCH_simcore.json");
   const double floor_speedup = flags.get_double("assert-churn-speedup", 0.0);
   const double floor_eps = flags.get_double("assert-churn-events-per-s", 0.0);
+  const double floor_network_eps =
+      flags.get_double("assert-network-events-per-s", 0.0);
 
   const int waves = quick ? 40 : 200;
   const int bursts = quick ? 100 : 500;
@@ -290,8 +294,11 @@ int main(int argc, char** argv) {
   }
 
   // CI floors: conservative bounds (well under measured numbers) that
-  // still catch an accidental return to heap-scheduler scaling.
+  // still catch an accidental return to heap-scheduler scaling — or, for
+  // the network anchor, to hashed routing tables and pooled transmit
+  // closures.
   const WorkloadResult& churn = results.front();
+  const WorkloadResult& network = results.back();
   bool ok = true;
   if (floor_speedup > 0.0 && churn.speedup < floor_speedup) {
     std::cerr << "FLOOR VIOLATION: churn speedup " << churn.speedup << " < "
@@ -301,6 +308,13 @@ int main(int argc, char** argv) {
   if (floor_eps > 0.0 && churn.ladder_ops_per_s < floor_eps) {
     std::cerr << "FLOOR VIOLATION: churn ladder ops/s "
               << churn.ladder_ops_per_s << " < " << floor_eps << "\n";
+    ok = false;
+  }
+  if (floor_network_eps > 0.0 &&
+      network.ladder_ops_per_s < floor_network_eps) {
+    std::cerr << "FLOOR VIOLATION: network events/s "
+              << network.ladder_ops_per_s << " < " << floor_network_eps
+              << "\n";
     ok = false;
   }
   return ok ? 0 : 1;

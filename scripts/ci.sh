@@ -170,11 +170,15 @@ python3 perfbench/selftest.py design_cold churn_serve
 echo "== event core: ladder-queue vs baseline-heap bench (JSON artifact) =="
 # Self-asserting floors: conservative bounds (measured ~4.8x / ~59M ops/s
 # even in --quick mode) that still catch a return to heap-scheduler scaling.
+# The network-anchor floor (measured 1.34-1.81M ev/s in --quick mode,
+# telemetry on or off) catches a return to hashed DSDV tables or a pooled
+# closure per channel transmission (~0.84-1.17M ev/s).
 ./build/bench/bench_micro_simcore --quick --quiet \
   --json=BENCH_simcore.json \
-  --assert-churn-speedup=3.0 --assert-churn-events-per-s=10000000 > /dev/null
+  --assert-churn-speedup=3.0 --assert-churn-events-per-s=10000000 \
+  --assert-network-events-per-s=600000 > /dev/null
 test -s BENCH_simcore.json
-echo "OK: wrote BENCH_simcore.json (churn speedup/events-per-s floors held)"
+echo "OK: wrote BENCH_simcore.json (churn and network floors held)"
 
 echo "== event core: same floors with telemetry compiled off (-DEEND_OBS=OFF) =="
 # The default build above ran the floors with telemetry ON; this leg pins
@@ -184,7 +188,8 @@ cmake -B build-noobs -S . -DEEND_WERROR=ON -DEEND_OBS=OFF
 cmake --build build-noobs -j"$JOBS" --target bench_micro_simcore
 ./build-noobs/bench/bench_micro_simcore --quick --quiet \
   --json=BENCH_simcore_noobs.json \
-  --assert-churn-speedup=3.0 --assert-churn-events-per-s=10000000 > /dev/null
+  --assert-churn-speedup=3.0 --assert-churn-events-per-s=10000000 \
+  --assert-network-events-per-s=600000 > /dev/null
 test -s BENCH_simcore_noobs.json
 # Report the telemetry on/off delta on the churn workload (both JSONs
 # self-label via "obs_enabled"; the first ladder_ops_per_s is churn's).

@@ -129,53 +129,72 @@ void Channel::transmit(const Frame& frame, double duration,
   EEND_REQUIRE(frame.tx_node < radios_.size());
   NodeRadio& sender = *radios_[frame.tx_node];
 
-  Frame f = frame;
-  f.frame_uid = next_frame_uid_++;
+  const std::uint64_t uid = next_frame_uid_++;
   ++transmissions_;
 
-  const double rx_range = prop_.rx_range(f.tx_power_w);
-  const double int_range = prop_.interference_range(f.tx_power_w);
-  const double cs_range = prop_.cs_range(f.tx_power_w);
+  const double rx_range = prop_.rx_range(frame.tx_power_w);
+  const double int_range = prop_.interference_range(frame.tx_power_w);
+  const double cs_range = prop_.cs_range(frame.tx_power_w);
 
-  sender.begin_tx(f.tx_power_w, f.packet.category);
-  active_.push_back(
-      ActiveTx{f.frame_uid, f.tx_node, cs_range, sim_.now() + duration});
+  sender.begin_tx(frame.tx_power_w, frame.packet.category);
+  active_.push_back(ActiveTx{uid, frame.tx_node, cs_range, int_range,
+                             rx_range, frame, std::move(on_done)});
+  // rf_begin / try_lock_rx call nothing back, so active_ cannot reallocate
+  // under this reference before the event is scheduled.
+  Frame& f = active_.back().frame;
+  f.frame_uid = uid;
 
   // Interference sweep, then lock attempts on decodable radios. Both are
   // prefix walks of the sender's distance-sorted arena span — the hot
-  // frame-delivery path allocates nothing; the end-of-airtime lambda walks
-  // the same (immutable) prefixes instead of capturing id lists.
+  // frame-delivery path allocates nothing; finish_tx walks the same
+  // (immutable) prefixes instead of keeping id lists.
   for_each_within(f.tx_node, int_range,
                   [&](NodeId id, double) { radios_[id]->rf_begin(); });
   for_each_within(f.tx_node, rx_range,
                   [&](NodeId id, double) { radios_[id]->try_lock_rx(f); });
 
-  sim_.schedule_in(duration, [this, f, int_range, rx_range,
-                              on_done = std::move(on_done)] {
-    TxResult result;
-    radios_[f.tx_node]->end_tx();
-    // End the footprint first so finish_rx sees a clean rf count.
-    for_each_within(f.tx_node, int_range,
-                    [&](NodeId id, double) { radios_[id]->rf_end(); });
-    for_each_within(f.tx_node, rx_range, [&](NodeId id, double) {
-      // finish_rx is false for radios that never locked this frame
-      // (asleep, collided at lock time, or locked a different uid).
-      if (!radios_[id]->finish_rx(f.frame_uid)) return;
-      const bool addressed = f.is_broadcast() || f.rx_node == id;
-      if (f.rx_node == id) result.target_received = true;
-      if (addressed) {
-        if (deliver_[id]) deliver_[id](f);
-      } else {
-        if (overhear_[id]) overhear_[id](f);
-      }
-    });
-    // Remove from the active list.
-    active_.erase(std::find_if(active_.begin(), active_.end(),
-                               [&](const ActiveTx& t) {
-                                 return t.frame_uid == f.frame_uid;
-                               }));
-    if (on_done) on_done(result);
+  sim_.schedule_in(duration, [this, uid] { finish_tx(uid); });
+}
+
+std::vector<Channel::ActiveTx>::iterator Channel::find_active(
+    std::uint64_t frame_uid) {
+  const auto it = std::find_if(
+      active_.begin(), active_.end(),
+      [&](const ActiveTx& t) { return t.frame_uid == frame_uid; });
+  EEND_CHECK(it != active_.end());
+  return it;
+}
+
+void Channel::finish_tx(std::uint64_t frame_uid) {
+  // Take the frame and callback out of the record: delivery handlers may
+  // re-enter transmit() and reallocate active_. The record itself stays
+  // until the deliveries are done, so carrier_busy() still counts this
+  // transmission while the handlers run.
+  const auto rec = find_active(frame_uid);
+  const Frame f = std::move(rec->frame);
+  const auto on_done = std::move(rec->on_done);
+  const double int_range = rec->int_range;
+  const double rx_range = rec->rx_range;
+
+  TxResult result;
+  radios_[f.tx_node]->end_tx();
+  // End the footprint first so finish_rx sees a clean rf count.
+  for_each_within(f.tx_node, int_range,
+                  [&](NodeId id, double) { radios_[id]->rf_end(); });
+  for_each_within(f.tx_node, rx_range, [&](NodeId id, double) {
+    // finish_rx is false for radios that never locked this frame
+    // (asleep, collided at lock time, or locked a different uid).
+    if (!radios_[id]->finish_rx(f.frame_uid)) return;
+    const bool addressed = f.is_broadcast() || f.rx_node == id;
+    if (f.rx_node == id) result.target_received = true;
+    if (addressed) {
+      if (deliver_[id]) deliver_[id](f);
+    } else {
+      if (overhear_[id]) overhear_[id](f);
+    }
   });
+  active_.erase(find_active(frame_uid));
+  if (on_done) on_done(result);
 }
 
 void Channel::set_deliver_handler(NodeId id,

@@ -111,7 +111,11 @@ class Channel {
 
   /// Put `frame` on the air for `duration` seconds. The sender radio must
   /// be awake and idle. `on_done` fires when airtime ends, after receiver
-  /// delivery callbacks have run.
+  /// delivery callbacks have run. The in-flight frame and `on_done` wait in
+  /// the channel's active-transmission list, so the end-of-airtime event
+  /// captures only the frame uid and is stored inline in the simulator's
+  /// slot (no pooled closure per transmission). Delivery handlers may call
+  /// transmit() again.
   void transmit(const Frame& frame, double duration,
                 std::function<void(const TxResult&)> on_done);
 
@@ -124,12 +128,21 @@ class Channel {
   std::uint64_t transmissions() const { return transmissions_; }
 
  private:
+  /// One frame on the air, from transmit() to the end of its airtime.
+  /// carrier_busy() reads sender and cs_range; finish_tx() takes the rest.
   struct ActiveTx {
     std::uint64_t frame_uid;
     NodeId sender;
     double cs_range;
-    sim::Time end;
+    double int_range;
+    double rx_range;
+    Frame frame;
+    std::function<void(const TxResult&)> on_done;
   };
+
+  /// End-of-airtime handler for the transmission `frame_uid`.
+  void finish_tx(std::uint64_t frame_uid);
+  std::vector<ActiveTx>::iterator find_active(std::uint64_t frame_uid);
 
   struct Neighbor {
     NodeId id;

@@ -224,11 +224,13 @@ metrics::RunResult Network::run() {
                 out.total_energy_j
           : 0.0;
 
+  std::uint64_t update_entries = 0;
   for (const auto& r : routing_) {
     if (r->carried_data()) ++out.nodes_carrying_data;
     out.rreq_transmissions +=
         r->stats().rreq_sent + r->stats().rreq_forwarded;
     out.update_transmissions += r->stats().updates_sent;
+    update_entries += r->stats().update_entries;
   }
   for (const auto& m : macs_) {
     const mac::MacStats& ms = m->stats();
@@ -251,6 +253,7 @@ metrics::RunResult Network::run() {
     reg->add("mac.unicast_failures", out.mac_unicast_failures);
     reg->add("mac.collisions", out.mac_collisions);
     reg->add("net.channel_transmissions", out.channel_transmissions);
+    reg->add("routing.update_entries", update_entries);
     reg->add("energy.depleted_nodes", out.depleted_nodes);
     sim_.publish_counters(*reg);
   }

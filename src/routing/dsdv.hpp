@@ -13,8 +13,7 @@
 // energy goodput collapsing to DSR-Active levels.
 #pragma once
 
-#include <set>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "routing/messages.hpp"
@@ -52,9 +51,10 @@ class DsdvRouting final : public RoutingProtocol {
   /// power-management mode.
   void on_pm_mode_change();
 
-  /// Exposed for tests.
+  /// Exposed for tests. Any id outside [0, node_count) — kBroadcast
+  /// included — has no route and yields kBroadcast.
   mac::NodeId next_hop_to(mac::NodeId dest) const;
-  std::size_t table_size() const { return table_.size(); }
+  std::size_t table_size() const { return order_.size(); }
 
  private:
   struct Entry {
@@ -62,6 +62,8 @@ class DsdvRouting final : public RoutingProtocol {
     double metric = 0.0;
     mac::NodeId next_hop = mac::kBroadcast;
     bool valid = false;
+    bool known = false;  ///< ever adopted: a member of order_
+    bool dirty = false;  ///< queued in dirty_ for the next triggered update
   };
 
   void on_receive(const mac::Packet& p, mac::NodeId from);
@@ -74,12 +76,28 @@ class DsdvRouting final : public RoutingProtocol {
   void schedule_quality_tick();
   void schedule_triggered();
   void send_triggered();
-  void broadcast_entries(const std::vector<DsdvEntry>& entries);
+  void broadcast_entries(std::vector<DsdvEntry> entries);
+  void mark_dirty(mac::NodeId dest);
+  void clear_dirty();
   DsdvEntry own_entry();
 
   DsdvConfig cfg_;
-  std::unordered_map<mac::NodeId, Entry> table_;
-  std::set<mac::NodeId> dirty_;
+  /// The routing table, indexed by destination id and sized once to the
+  /// channel's node count; an entry with !known has never been adopted.
+  std::vector<Entry> table_;
+  /// The known destinations, inserted exactly once — at a destination's
+  /// first adoption — and never erased or reserved. Only the loops that
+  /// walk the whole table iterate it (periodic dumps, the quality-churn
+  /// pick, PM-change and link-break re-advertisement); per-entry lookups
+  /// index table_. Its libstdc++ iteration order is a pure function of that
+  /// insertion history, and the dsdvh golden suites pin it (the wire order
+  /// of full dumps and the quality-churn subset follow it), so it stays a
+  /// hash set until those goldens are deliberately re-pinned.
+  std::unordered_set<mac::NodeId> order_;
+  /// Destinations awaiting the next triggered update, each once (its
+  /// Entry::dirty flag is set); send_triggered drains them in ascending id
+  /// order.
+  std::vector<mac::NodeId> dirty_;
   std::uint32_t own_seq_ = 0;
   double last_update_tx_ = -1e18;
   sim::EventId trigger_event_ = sim::kInvalidEvent;

@@ -64,6 +64,7 @@ struct RoutingStats {
   std::uint64_t rrep_sent = 0;
   std::uint64_t rerr_sent = 0;
   std::uint64_t updates_sent = 0;
+  std::uint64_t update_entries = 0;  ///< advertised entries folded (DSDV)
   std::uint64_t discoveries = 0;
   std::uint64_t data_forwarded = 0;
   std::uint64_t data_delivered = 0;

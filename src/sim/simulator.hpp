@@ -15,10 +15,10 @@
 //     reuse invalidates stale ids without hashing.
 //   * closures     — small-buffer storage inside the slot (<= 48 bytes for
 //     trivially-copyable captures, <= 32 for non-trivial ones — which
-//     covers the [this]-capture timer/MAC/traffic closures); larger
-//     captures (the channel's in-flight Frame closure) go to a size-class
-//     MemoryPool and are recycled, not freed. A slot is exactly one cache
-//     line.
+//     covers the [this]-capture timer/MAC/traffic/channel closures); larger
+//     captures go to a size-class MemoryPool and are recycled, not freed —
+//     no protocol-stack closure is that large (obs_test holds
+//     sim.closure_pool_spills at 0). A slot is exactly one cache line.
 //
 // Cancellation is O(1): the slot is released immediately and the queue
 // entry becomes a tombstone, skipped on pop; the queue is compacted in

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "mac/channel.hpp"
 
@@ -234,6 +236,45 @@ TEST(Channel, TransmitterCannotReceiveConcurrently) {
   r.ch.transmit(r.frame(1, 0), 0.001, nullptr);
   r.sim.run_all();
   EXPECT_EQ(delivered_at_0, 0);  // half-duplex
+}
+
+TEST(Channel, DeliverHandlerMayTransmitFromInsideAirtimeEnd) {
+  // Node 1 relays from inside its deliver handler, i.e. from inside the
+  // end-of-airtime handler of frame 0->1: the active-transmission list
+  // grows (and reallocates) while that frame is still being delivered.
+  Rig r;
+  r.add(0, 0);
+  r.add(200, 0);
+  r.add(400, 0);  // beyond node 0's rx range, within its CS range
+  r.freeze();
+  std::vector<std::string> log;
+  r.ch.set_deliver_handler(1, [&](const Frame& f) {
+    log.push_back("deliver1");
+    // Frame 0->1 stays on the active list until its deliveries are done.
+    EXPECT_TRUE(r.ch.carrier_busy(2));
+    r.ch.transmit(r.frame(1, 2), 0.001, [&](const TxResult& res) {
+      log.push_back(res.target_received ? "done2:received" : "done2:lost");
+    });
+    // The frame being delivered survives the re-entrant transmit.
+    EXPECT_EQ(f.tx_node, 0u);
+    EXPECT_EQ(f.rx_node, 1u);
+    EXPECT_EQ(f.packet.size_bits, 1024u);
+  });
+  r.ch.set_deliver_handler(2, [&](const Frame& f) {
+    EXPECT_EQ(f.tx_node, 1u);
+    log.push_back("deliver2");
+  });
+  int done = 0;
+  r.ch.transmit(r.frame(0, 1), 0.001, [&](const TxResult& res) {
+    ++done;
+    log.push_back(res.target_received ? "done1:received" : "done1:lost");
+  });
+  r.sim.run_all();
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(log, (std::vector<std::string>{"deliver1", "done1:received",
+                                           "deliver2", "done2:received"}));
+  EXPECT_EQ(r.ch.transmissions(), 2u);
+  EXPECT_FALSE(r.ch.carrier_busy(2));  // both records erased
 }
 
 }  // namespace

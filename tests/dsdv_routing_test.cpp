@@ -196,5 +196,38 @@ TEST(DsdvRouting, JointHMetricRoutesAroundExpensiveRelay) {
   EXPECT_EQ(r.delivered.size(), 1u);
 }
 
+TEST(DsdvRouting, NextHopOutsideTheNetworkIsBroadcast) {
+  Rig r;
+  r.add(0, 0);
+  r.add(200, 0);
+  r.wire();
+  r.sim.run_until(15.0);
+  EXPECT_EQ(r.routing[0]->next_hop_to(1), 1u);
+  EXPECT_EQ(r.routing[0]->next_hop_to(2), mac::kBroadcast);  // == N
+  EXPECT_EQ(r.routing[0]->next_hop_to(mac::kBroadcast), mac::kBroadcast);
+}
+
+TEST(DsdvRouting, RejectsAdvertisedDestinationOutsideTheNetwork) {
+  // A well-formed update from node 1 that advertises a destination id
+  // past the 2-node table: folding it must fail loudly, not index past
+  // the dense table.
+  Rig r;
+  r.add(0, 0);
+  r.add(200, 0);
+  r.wire();
+  DsdvBody body;
+  body.entries = {DsdvEntry{1, 2, 0.0}, DsdvEntry{2, 2, 0.0}};
+  mac::Packet p;
+  p.category = energy::Category::Control;
+  p.origin = 1;
+  p.final_dest = mac::kBroadcast;
+  p.size_bits = dsdv_bits(body.entries.size());
+  p.type = kDsdvUpdate;
+  p.payload = mac::Packet::wrap(r.sim.pool(), std::move(body));
+  r.macs[1]->send_broadcast(std::move(p),
+                            r.radios[1]->card().max_transmit_power());
+  EXPECT_THROW(r.sim.run_until(15.0), CheckError);
+}
+
 }  // namespace
 }  // namespace eend::routing

@@ -1,8 +1,8 @@
 // Observability suite: counter registry semantics, --counters determinism
 // across --jobs, and Chrome-trace well-formedness.
 //
-// The engine-level tests replay the shipped design_churn manifest at --quick
-// scale. Counter VALUES are part of the determinism contract (byte-identical
+// The engine-level tests replay the shipped design_churn and small_field
+// manifests at --quick scale. Counter VALUES are part of the determinism contract (byte-identical
 // JSONL for any jobs value); trace span NAMES are deterministic too, but
 // lane assignment (which worker ran which cell) and timestamps are not, so
 // the trace tests compare name multisets and per-lane nesting, never
@@ -161,6 +161,50 @@ TEST(ObsEngine, CountersAreByteIdenticalAcrossJobs) {
   EXPECT_NE(serial.find("\"experiment\":\"churn_serving\""),
             std::string::npos);
   EXPECT_EQ(serial, run_churn_counters(8));
+}
+
+// --- Protocol-stack counters on the shipped small-field manifest ---------
+
+std::string run_small_field_counters(std::size_t jobs) {
+  const core::Manifest m =
+      core::Manifest::load(EEND_MANIFEST_DIR "/small_field.json");
+  std::ostringstream counters;
+  core::EngineOptions opts;
+  opts.jobs = jobs;
+  opts.quick = true;
+  opts.counters = &counters;
+  core::ExperimentEngine engine(opts);
+  engine.run(m);
+  return counters.str();
+}
+
+/// Value of counter `name` in counters JSONL, or -1 when it is absent.
+long long counter_value(const std::string& jsonl, const std::string& name) {
+  const std::string key = "\"counter\":\"" + name + "\",\"value\":";
+  const std::size_t at = jsonl.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(jsonl.substr(at + key.size()));
+}
+
+TEST(ObsEngine, ProtocolStackNeverSpillsClosures) {
+  // Every closure the protocol stacks schedule fits a simulator slot
+  // inline — the channel's end-of-airtime event included. An exact count,
+  // so a spill per transmission shows here as a failure, not as noise in a
+  // wall-clock benchmark. fig8 --quick runs all eight stacks.
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
+  const std::string c = run_small_field_counters(2);
+  EXPECT_GT(counter_value(c, "net.channel_transmissions"), 0);
+  EXPECT_EQ(counter_value(c, "sim.closure_pool_spills"), 0);
+}
+
+TEST(ObsEngine, RoutingWorkCounterIsByteIdenticalAcrossJobs) {
+  // routing.update_entries — the advertised DSDV entries folded — is the
+  // exact per-entry denominator for DSDV table work; like every counter it
+  // must not depend on the thread count.
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
+  const std::string serial = run_small_field_counters(1);
+  EXPECT_GT(counter_value(serial, "routing.update_entries"), 0);
+  EXPECT_EQ(serial, run_small_field_counters(4));
 }
 
 // --- Chrome trace emission ------------------------------------------------
