@@ -152,26 +152,28 @@ std::uint64_t run_timer_restart(SimT& s, int touches) {
 }
 
 template <typename Fn>
-double best_of(int reps, std::uint64_t& ops_out, Fn run) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ops_out = run();
-    best = std::min(best, seconds_since(t0));
-  }
-  return best;
+double timed(std::uint64_t& ops_out, Fn run) {
+  const auto t0 = std::chrono::steady_clock::now();
+  ops_out = run();
+  return seconds_since(t0);
 }
 
+/// Best-of-`reps` for both engines, their reps interleaved (ladder,
+/// baseline, ladder, ...): a slow stretch of the machine then costs both
+/// engines a rep instead of deciding the ratio on its own.
 template <typename LadderFn, typename BaselineFn>
 WorkloadResult run_pair(const std::string& name, int reps, LadderFn lf,
                         BaselineFn bf) {
   WorkloadResult r;
   r.name = name;
-  const double tl = best_of(reps, r.ops, lf);
-  std::uint64_t ops_b = 0;
-  const double tb = best_of(reps, ops_b, bf);
-  EEND_REQUIRE_MSG(ops_b == r.ops,
-                   "engines diverged on op count for " << name);
+  double tl = 1e300, tb = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    tl = std::min(tl, timed(r.ops, lf));
+    std::uint64_t ops_b = 0;
+    tb = std::min(tb, timed(ops_b, bf));
+    EEND_REQUIRE_MSG(ops_b == r.ops,
+                     "engines diverged on op count for " << name);
+  }
   r.ladder_ops_per_s = static_cast<double>(r.ops) / tl;
   r.baseline_ops_per_s = static_cast<double>(r.ops) / tb;
   r.speedup = r.ladder_ops_per_s / r.baseline_ops_per_s;

@@ -9,6 +9,8 @@
 // paper's 3k/(2k+1) observation about SF1 vs SF2.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -21,7 +23,18 @@ struct RoutedDemand {
   graph::Demand demand;
   std::vector<graph::NodeId> path;  ///< node sequence source..destination
   double packets = 1.0;
+  /// The edge each hop takes (path.size() - 1 ids), as the router relaxed
+  /// it. Empty for hand-built routes, whose hops resolve to the lightest
+  /// edge between their two nodes (see hop_edge).
+  std::vector<graph::EdgeId> edges;
 };
+
+/// The edge hop i of `r` crosses (path[i] -> path[i + 1]): the carried id,
+/// checked to join the two nodes, or Graph::find_edge when the route
+/// carries none. Throws CheckError "path hop X->Y is not an edge" when the
+/// hop has no edge.
+graph::EdgeId hop_edge(const graph::Graph& g, const RoutedDemand& r,
+                       std::size_t i);
 
 struct Eq5Params {
   double t_idle = 1.0;             ///< idle duration charged per active node
@@ -39,12 +52,34 @@ struct Eq5Breakdown {
   std::size_t relay_nodes = 0;   ///< active nodes that are not endpoints
 };
 
+/// Reusable buffers for evaluate_eq5: a caller scoring many designs keeps
+/// one and stops allocating. After a call, `active` holds the routes'
+/// active nodes (every node on some path) in ascending id.
+struct Eq5Scratch {
+  std::vector<graph::NodeId> active;
+
+  struct Hop {
+    std::uint64_t key;  ///< min(u, v) << 32 | max(u, v)
+    std::uint32_t seq;  ///< encounter order, the tie-break within a key
+    double packets;
+    double weight;
+  };
+  std::vector<Hop> hops;
+  std::vector<char> mark;  ///< per node: active and endpoint bits
+};
+
 /// Evaluate Eq. 5 for the subgraph induced by the routed demands.
 /// Node weights come from Graph::node_weight (c(u)); edge traversal cost
 /// per packet comes from the edge weight (w(e)).
 /// Every path must be a valid walk in g (consecutive nodes adjacent).
+/// Summation order is fixed: idle over active nodes in ascending id; data
+/// per node pair (u < v) in ascending pair order, each pair's packets
+/// summed in route-then-hop order first.
 Eq5Breakdown evaluate_eq5(const graph::Graph& g,
                           std::span<const RoutedDemand> routes,
                           const Eq5Params& params);
+Eq5Breakdown evaluate_eq5(const graph::Graph& g,
+                          std::span<const RoutedDemand> routes,
+                          const Eq5Params& params, Eq5Scratch& scratch);
 
 }  // namespace eend::analytical

@@ -77,97 +77,94 @@ graph::SteinerTree NetworkDesignProblem::solve_edge_weighted() const {
   return graph::kmb_steiner_tree(graph_, terminals());
 }
 
+void RoutingWorkspace::publish() {
+  const auto flush = [](const char* name, obs::HotCounter& c) {
+    if (c.value() > 0) obs::count(name, c.value());
+    c = obs::HotCounter{};
+  };
+  flush("graph.dijkstra.runs", router.runs);
+  flush("graph.dijkstra.settled", router.settled);
+  flush("opt.cache.route_hits", route_hits);
+  flush("opt.cache.route_misses", route_misses);
+}
+
 std::optional<std::vector<analytical::RoutedDemand>>
 NetworkDesignProblem::try_route_in_subgraph(
     const std::vector<graph::NodeId>& allowed_nodes,
     std::size_t* failed_demand) const {
-  std::vector<char> allowed(graph_.node_count(), allowed_nodes.empty());
-  for (graph::NodeId v : allowed_nodes) allowed[v] = true;
-
-  // Shortest paths restricted to allowed nodes: Dijkstra never enters a
-  // masked node and stops once the destination settles, so a search costs
-  // at most O(allowed subgraph), not O(full graph).
-  std::vector<analytical::RoutedDemand> routes;
-  for (std::size_t i = 0; i < demands_.size(); ++i) {
-    const auto& d = demands_[i];
-    if (!allowed[d.source] || !allowed[d.destination]) {
-      if (failed_demand) *failed_demand = i;
-      return std::nullopt;
-    }
-    const auto spt = graph::dijkstra(graph_, d.source, allowed, d.destination);
-    analytical::RoutedDemand rd;
-    rd.demand = d;
-    rd.packets = d.rate;
-    rd.path = spt.path_to(d.destination);
-    if (rd.path.empty()) {
-      if (failed_demand) *failed_demand = i;
-      return std::nullopt;
-    }
-    routes.push_back(std::move(rd));
-  }
-  return routes;
+  RoutingWorkspace ws;
+  const bool ok = route_in_subgraph(ws, allowed_nodes, failed_demand);
+  ws.publish();
+  if (!ok) return std::nullopt;
+  return std::move(ws.routes);
 }
 
-std::optional<std::vector<analytical::RoutedDemand>>
-NetworkDesignProblem::try_route_in_subgraph_cached(
-    const std::vector<graph::NodeId>& allowed_nodes,
-    const std::vector<graph::NodeId>& cached_allowed,
-    const std::vector<analytical::RoutedDemand>& cached_routes,
-    std::size_t* failed_demand) const {
-  // Subset precondition: every node allowed now must have been allowed when
-  // the cache was built (an empty list means "all nodes"). Otherwise the
-  // cache could hide a newly-created shorter path — fall back to the full
-  // routine rather than risk a stale reuse.
-  const bool usable = [&] {
-    if (cached_routes.size() != demands_.size()) return false;
-    if (cached_allowed.empty()) return true;
+bool NetworkDesignProblem::route_in_subgraph(
+    RoutingWorkspace& ws, const std::vector<graph::NodeId>& allowed_nodes,
+    std::size_t* failed_demand,
+    const std::vector<graph::NodeId>* cached_allowed,
+    const std::vector<analytical::RoutedDemand>* cached_routes) const {
+  graph::SubgraphRouter& router = ws.router;
+  router.restrict_to(graph_, allowed_nodes);
+
+  // Subset precondition of the route cache: every node allowed now must
+  // have been allowed when the cache was built (an empty list means "all
+  // nodes"). Otherwise the cache could hide a newly-created shorter path —
+  // route every demand afresh rather than risk a stale reuse.
+  const bool use_cache = [&] {
+    if (!cached_routes || cached_routes->size() != demands_.size())
+      return false;
+    if (cached_allowed->empty()) return true;
     if (allowed_nodes.empty()) return false;
-    std::vector<bool> in_cache(graph_.node_count(), false);
-    for (graph::NodeId v : cached_allowed) in_cache[v] = true;
-    for (graph::NodeId v : allowed_nodes)
-      if (!in_cache[v]) return false;
-    return true;
-  }();
-  if (!usable) return try_route_in_subgraph(allowed_nodes, failed_demand);
-
-  std::vector<char> allowed(graph_.node_count(), allowed_nodes.empty());
-  for (graph::NodeId v : allowed_nodes) allowed[v] = true;
-
-  std::vector<analytical::RoutedDemand> routes;
-  for (std::size_t i = 0; i < demands_.size(); ++i) {
-    const auto& d = demands_[i];
-    if (!allowed[d.source] || !allowed[d.destination]) {
-      if (failed_demand) *failed_demand = i;
-      return std::nullopt;
-    }
-    const analytical::RoutedDemand& c = cached_routes[i];
-    const bool reuse =
-        c.demand.source == d.source &&
-        c.demand.destination == d.destination && !c.path.empty() &&
-        std::all_of(c.path.begin(), c.path.end(),
-                    [&](graph::NodeId v) { return bool(allowed[v]); });
-    analytical::RoutedDemand rd;
-    rd.demand = d;
-    rd.packets = d.rate;
-    if (reuse) {
-      obs::count("opt.cache.route_hits");
-      rd.path = c.path;
-    } else {
-      obs::count("opt.cache.route_misses");
-      rd.path = graph::dijkstra(graph_, d.source, allowed, d.destination)
-                    .path_to(d.destination);
-      if (rd.path.empty()) {
-        if (failed_demand) *failed_demand = i;
-        return std::nullopt;
+    ws.seen.assign(router.node_count(), 0);
+    std::size_t covered = 0;
+    for (graph::NodeId v : *cached_allowed) {
+      const graph::NodeId l = router.local_id(v);
+      if (l != graph::kInvalidNode && !ws.seen[l]) {
+        ws.seen[l] = 1;
+        ++covered;
       }
     }
-    routes.push_back(std::move(rd));
+    return covered == router.node_count();
+  }();
+
+  // Shortest paths restricted to allowed nodes: every search runs on the
+  // one induced subgraph the router builds, and stops once the destination
+  // settles, so a search costs at most O(allowed subgraph).
+  ws.routes.resize(demands_.size());
+  for (std::size_t i = 0; i < demands_.size(); ++i) {
+    const auto& d = demands_[i];
+    const auto fail = [&] {
+      if (failed_demand) *failed_demand = i;
+      return false;
+    };
+    if (!router.contains(d.source) || !router.contains(d.destination))
+      return fail();
+    analytical::RoutedDemand& rd = ws.routes[i];
+    rd.demand = d;
+    rd.packets = d.rate;
+    if (use_cache) {
+      const analytical::RoutedDemand& c = (*cached_routes)[i];
+      const bool reuse =
+          c.demand.source == d.source &&
+          c.demand.destination == d.destination && !c.path.empty() &&
+          std::all_of(c.path.begin(), c.path.end(),
+                      [&](graph::NodeId v) { return router.contains(v); });
+      if (reuse) {
+        ws.route_hits.add();
+        rd.path = c.path;
+        rd.edges = c.edges;
+        continue;
+      }
+      ws.route_misses.add();
+    }
+    if (!router.route(d.source, d.destination, rd.path, rd.edges))
+      return fail();
   }
-  return routes;
+  return true;
 }
 
-std::vector<analytical::RoutedDemand>
-NetworkDesignProblem::route_in_subgraph(
+std::vector<analytical::RoutedDemand> NetworkDesignProblem::route_or_throw(
     const std::vector<graph::NodeId>& allowed_nodes) const {
   std::size_t failed = 0;
   auto routes = try_route_in_subgraph(allowed_nodes, &failed);
@@ -181,12 +178,12 @@ NetworkDesignProblem::route_in_subgraph(
 analytical::Eq5Breakdown NetworkDesignProblem::evaluate_tree(
     const graph::SteinerTree& tree, const analytical::Eq5Params& p) const {
   EEND_REQUIRE_MSG(tree.feasible, "cannot evaluate an infeasible tree");
-  return analytical::evaluate_eq5(graph_, route_in_subgraph(tree.nodes), p);
+  return analytical::evaluate_eq5(graph_, route_or_throw(tree.nodes), p);
 }
 
 analytical::Eq5Breakdown NetworkDesignProblem::evaluate_shortest_paths(
     const analytical::Eq5Params& p) const {
-  return analytical::evaluate_eq5(graph_, route_in_subgraph({}), p);
+  return analytical::evaluate_eq5(graph_, route_or_throw({}), p);
 }
 
 }  // namespace eend::core

@@ -15,10 +15,29 @@
 
 #include "analytical/design_eval.hpp"
 #include "energy/radio_card.hpp"
+#include "graph/shortest_path.hpp"
 #include "graph/steiner.hpp"
+#include "obs/obs.hpp"
 #include "phy/position.hpp"
 
 namespace eend::core {
+
+/// Caller-owned routing state for NetworkDesignProblem::route_in_subgraph:
+/// the induced-subgraph router, the routes of the last call, and the work
+/// counters, published by publish() once per search rather than per
+/// demand.
+struct RoutingWorkspace {
+  graph::SubgraphRouter router;
+  std::vector<analytical::RoutedDemand> routes;
+  std::vector<char> seen;  ///< subset-test scratch, by router local id
+  obs::HotCounter route_hits;    ///< cached paths reused
+  obs::HotCounter route_misses;  ///< cached paths re-searched
+
+  /// Add graph.dijkstra.{runs,settled} and opt.cache.route_{hits,misses}
+  /// to the calling thread's registry (zero counts stay absent) and reset
+  /// them.
+  void publish();
+};
 
 /// A design-problem instance: connectivity graph with communication edge
 /// weights w(e) and idling node weights c(v), plus traffic demands.
@@ -84,29 +103,34 @@ class NetworkDesignProblem {
       const std::vector<graph::NodeId>& allowed_nodes,
       std::size_t* failed_demand = nullptr) const;
 
-  /// Cached twin of try_route_in_subgraph for incremental re-evaluation:
-  /// `cached_routes` must be the routes this problem produced for
+  /// Workspace form of try_route_in_subgraph, which runs it on a
+  /// temporary workspace: routes into ws.routes (one per demand, reusing
+  /// its buffers) and returns false on failure. Every demand searches the
+  /// one induced subgraph ws.router builds for `allowed_nodes`.
+  ///
+  /// Passing `cached_routes` — the routes this problem produced for
   /// `cached_allowed` (same graph, same demand endpoints; rates may have
-  /// changed — paths are rate-independent). When `allowed_nodes` is a
-  /// subset of `cached_allowed`, a cached path that avoids every removed
-  /// node is still a shortest path (removing options can only lengthen
-  /// paths) and is reused verbatim; only demands whose cached path touches
-  /// a removed node — or whose endpoints changed — re-run Dijkstra. Falls
-  /// back to the uncached routine whenever the subset precondition fails
-  /// (e.g. nodes were *added*, which can create shorter paths). Caveat:
-  /// bit-equality with the uncached twin additionally needs unique shortest
-  /// paths; exact float ties could re-break differently, but the random
-  /// geometric weights every instance family draws make ties measure-zero
-  /// (design_heuristic_test pins the equality on those families).
-  std::optional<std::vector<analytical::RoutedDemand>>
-  try_route_in_subgraph_cached(
-      const std::vector<graph::NodeId>& allowed_nodes,
-      const std::vector<graph::NodeId>& cached_allowed,
-      const std::vector<analytical::RoutedDemand>& cached_routes,
-      std::size_t* failed_demand = nullptr) const;
+  /// changed — paths are rate-independent) — reuses them for incremental
+  /// re-evaluation. When `allowed_nodes` is a subset of `cached_allowed`, a
+  /// cached path that avoids every removed node is still a shortest path
+  /// (removing options can only lengthen paths) and is reused verbatim;
+  /// only demands whose cached path touches a removed node — or whose
+  /// endpoints changed — are searched again. Whenever the subset
+  /// precondition fails (e.g. nodes were *added*, which can create shorter
+  /// paths) every demand is searched. Caveat: bit-equality with the
+  /// uncached routing additionally needs unique shortest paths; exact float
+  /// ties could re-break differently, but the random geometric weights
+  /// every instance family draws make ties measure-zero (churn_test pins
+  /// the equality on those families).
+  bool route_in_subgraph(
+      RoutingWorkspace& ws, const std::vector<graph::NodeId>& allowed_nodes,
+      std::size_t* failed_demand = nullptr,
+      const std::vector<graph::NodeId>* cached_allowed = nullptr,
+      const std::vector<analytical::RoutedDemand>* cached_routes =
+          nullptr) const;
 
  private:
-  std::vector<analytical::RoutedDemand> route_in_subgraph(
+  std::vector<analytical::RoutedDemand> route_or_throw(
       const std::vector<graph::NodeId>& allowed_nodes) const;
 
   graph::Graph graph_;

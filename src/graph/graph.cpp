@@ -31,12 +31,19 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
                      [&](const Adjacency& a) { return a.neighbor == target; });
 }
 
-double Graph::edge_weight_between(NodeId u, NodeId v) const {
+EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   EEND_REQUIRE(valid_node(u) && valid_node(v));
-  double best = kInfCost;
+  EdgeId best = kInvalidEdge;
   for (const auto& a : adjacency_[u])
-    if (a.neighbor == v) best = std::min(best, edges_[a.edge].weight);
+    if (a.neighbor == v &&
+        (best == kInvalidEdge || edges_[a.edge].weight < edges_[best].weight))
+      best = a.edge;
   return best;
+}
+
+double Graph::edge_weight_between(NodeId u, NodeId v) const {
+  const EdgeId e = find_edge(u, v);
+  return e == kInvalidEdge ? kInfCost : edges_[e].weight;
 }
 
 }  // namespace eend::graph

@@ -19,6 +19,7 @@ using NodeId = std::uint32_t;
 using EdgeId = std::uint32_t;
 
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
+inline constexpr EdgeId kInvalidEdge = std::numeric_limits<EdgeId>::max();
 inline constexpr double kInfCost = std::numeric_limits<double>::infinity();
 
 /// One endpoint record in an adjacency list.
@@ -75,7 +76,11 @@ class Graph {
   /// Does an edge (u,v) exist (in either direction)?
   bool has_edge(NodeId u, NodeId v) const;
 
-  /// Find the minimum-weight edge between u and v, or kInfCost if none.
+  /// The minimum-weight edge between u and v (the first such in u's
+  /// adjacency order), or kInvalidEdge if none.
+  EdgeId find_edge(NodeId u, NodeId v) const;
+
+  /// Weight of find_edge(u, v), or kInfCost if none.
   double edge_weight_between(NodeId u, NodeId v) const;
 
  private:

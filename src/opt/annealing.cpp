@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
 
 #include "obs/counters.hpp"
+#include "opt/moves.hpp"
 #include "util/rng.hpp"
 
 namespace eend::opt {
@@ -29,47 +29,44 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
   double temp = t0;
   std::uint64_t proposals = 0, accepted = 0, improved = 0;
 
-  for (std::size_t it = 0; it < schedule.iterations;
-       ++it, temp *= schedule.cooling) {
-    // Current move surface: relays (closable), frontier (openable),
-    // per-relay inactive neighbors (exchangeable).
-    std::vector<graph::NodeId> relays;
+  // Current move surface: relays (closable), frontier (openable),
+  // per-relay inactive neighbors (exchangeable). It changes only when a
+  // move is accepted.
+  EvalWorkspace ws;
+  MoveScratch moves(g);
+  std::vector<graph::NodeId> relays;
+  const auto set_current = [&] {
+    moves.set_current(cur.nodes);
+    relays.clear();
     for (graph::NodeId v : cur.nodes)
       if (!is_terminal(v)) relays.push_back(v);
-    std::vector<char> in_cur(g.node_count(), 0);
-    for (graph::NodeId v : cur.nodes) in_cur[v] = 1;
+  };
+  set_current();
+  std::vector<graph::NodeId> proposal;
 
-    std::vector<graph::NodeId> proposal = cur.nodes;
+  for (std::size_t it = 0; it < schedule.iterations;
+       ++it, temp *= schedule.cooling) {
+    proposal = cur.nodes;
     const std::uint64_t family = rng.next_below(3);
     if (family == 0) {  // relay removal
       if (relays.empty()) continue;
       const graph::NodeId v = relays[rng.next_below(relays.size())];
       proposal.erase(std::find(proposal.begin(), proposal.end(), v));
     } else if (family == 1) {  // Steiner insertion
-      std::set<graph::NodeId> frontier;
-      for (graph::NodeId v : cur.nodes)
-        for (const auto& [u, e] : g.neighbors(v)) {
-          (void)e;
-          if (!in_cur[u]) frontier.insert(u);
-        }
-      if (frontier.empty()) continue;
-      std::vector<graph::NodeId> cands(frontier.begin(), frontier.end());
+      const auto& cands = moves.inactive_neighbors(cur.nodes);
+      if (cands.empty()) continue;
       proposal.push_back(cands[rng.next_below(cands.size())]);
     } else {  // relay exchange
       if (relays.empty()) continue;
       const graph::NodeId v = relays[rng.next_below(relays.size())];
-      std::set<graph::NodeId> swaps;
-      for (const auto& [u, e] : g.neighbors(v)) {
-        (void)e;
-        if (!in_cur[u]) swaps.insert(u);
-      }
-      if (swaps.empty()) continue;
-      std::vector<graph::NodeId> cands(swaps.begin(), swaps.end());
+      const auto& cands = moves.inactive_neighbors({&v, 1});
+      if (cands.empty()) continue;
       proposal.erase(std::find(proposal.begin(), proposal.end(), v));
       proposal.push_back(cands[rng.next_below(cands.size())]);
     }
 
-    CandidateDesign cand = evaluate_design(problem, proposal, objective);
+    CandidateDesign cand =
+        evaluate_design(problem, proposal, objective, nullptr, nullptr, ws);
     if (!cand.feasible) continue;
     ++proposals;
     const double delta = cand.cost() - cur.cost();
@@ -83,11 +80,13 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
     obs::observe("opt.sa.accept_decile",
                  schedule.iterations == 0 ? 0 : it * 10 / schedule.iterations);
     cur = std::move(cand);
+    set_current();
     if (cur.cost() < best.cost()) {
       best = cur;
       ++improved;
     }
   }
+  ws.publish();
   obs::count("opt.sa.calls");
   obs::count("opt.sa.proposals", proposals);
   obs::count("opt.sa.accepted", accepted);

@@ -1,8 +1,8 @@
 #include "opt/design_heuristic.hpp"
 
 #include <algorithm>
-#include <set>
 
+#include "obs/counters.hpp"
 #include "opt/annealing.hpp"
 #include "opt/local_search.hpp"
 #include "opt/portfolio.hpp"
@@ -21,8 +21,7 @@ std::vector<double> node_energy_loads(
     for (std::size_t i = 0; i < r.path.size(); ++i) {
       active[r.path[i]] = 1;
       if (i + 1 < r.path.size()) {
-        const double w = g.edge_weight_between(r.path[i], r.path[i + 1]);
-        EEND_CHECK(w < graph::kInfCost);
+        const double w = g.edge(analytical::hop_edge(g, r, i)).weight;
         const double half = 0.5 * eval.t_data_per_packet * r.packets * w;
         load[r.path[i]] += half;
         load[r.path[i + 1]] += half;
@@ -37,6 +36,12 @@ std::vector<double> node_energy_loads(
   return load;
 }
 
+void EvalWorkspace::publish() {
+  if (calls.value() > 0) obs::count("opt.eval.calls", calls.value());
+  calls = obs::HotCounter{};
+  routing.publish();
+}
+
 CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective) {
@@ -47,27 +52,39 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective,
                                 const RouteCache* reuse, RouteCache* fill) {
+  EvalWorkspace ws;
+  CandidateDesign out =
+      evaluate_design(problem, nodes, objective, reuse, fill, ws);
+  ws.publish();
+  return out;
+}
+
+CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
+                                const std::vector<graph::NodeId>& nodes,
+                                const DesignObjective& objective,
+                                const RouteCache* reuse, RouteCache* fill,
+                                EvalWorkspace& ws) {
   EEND_REQUIRE_MSG(!nodes.empty(), "a design needs at least one node");
+  ws.calls.add();
   CandidateDesign out;
-  const auto routes =
-      reuse && !reuse->empty()
-          ? problem.try_route_in_subgraph_cached(nodes, reuse->nodes,
-                                                 reuse->routes)
-          : problem.try_route_in_subgraph(nodes);
-  if (!routes) {
+  const bool cached = reuse && !reuse->empty();
+  if (!problem.route_in_subgraph(ws.routing, nodes, nullptr,
+                                 cached ? &reuse->nodes : nullptr,
+                                 cached ? &reuse->routes : nullptr)) {
     out.nodes = nodes;
     std::sort(out.nodes.begin(), out.nodes.end());
     out.feasible = false;
     return out;
   }
-  out.score = analytical::evaluate_eq5(problem.graph(), *routes,
-                                       objective.eval);
+  const std::vector<analytical::RoutedDemand>& routes = ws.routing.routes;
+  out.score =
+      analytical::evaluate_eq5(problem.graph(), routes, objective.eval, ws.eq5);
   // The load scan is O(N + route length) per evaluation and only the
   // lifetime objective consumes it; the plain mode — the innermost loop of
   // every design-kind search — must not pay for it.
   if (objective.battery_budget_j > 0.0) {
     const std::vector<double> loads =
-        node_energy_loads(problem.graph(), *routes, objective.eval);
+        node_energy_loads(problem.graph(), routes, objective.eval);
     double overload = 0.0;
     for (const double l : loads) {
       out.max_node_load = std::max(out.max_node_load, l);
@@ -75,12 +92,10 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
     }
     out.lifetime_penalty = objective.overload_penalty * overload;
   }
-  // Normalize the state to the nodes the routing actually uses: allowed-
-  // but-idle-free nodes contribute nothing to Eq. 5 and would make equal-
-  // cost designs compare unequal.
-  std::set<graph::NodeId> used;
-  for (const auto& r : *routes) used.insert(r.path.begin(), r.path.end());
-  out.nodes.assign(used.begin(), used.end());
+  // Normalize the state to the nodes the routing actually uses — Eq. 5's
+  // active set, ascending: allowed-but-unused nodes contribute nothing to
+  // Eq. 5 and would make equal-cost designs compare unequal.
+  out.nodes = ws.eq5.active;
   out.feasible = true;
   if (fill) {
     // Memoize against the *allowed* set (pre-normalization): the subset
@@ -88,7 +103,7 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
     // route-used subset the CandidateDesign keeps.
     fill->nodes = nodes;
     std::sort(fill->nodes.begin(), fill->nodes.end());
-    fill->routes = *routes;
+    fill->routes = routes;
   }
   return out;
 }

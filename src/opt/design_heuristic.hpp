@@ -109,10 +109,25 @@ struct RouteCache {
   }
 };
 
+/// Everything one search call reuses across its candidate evaluations: the
+/// routing workspace, the Eq. 5 buffers, and the opt.eval.calls counter.
+/// local_search, simulated_annealing and warm_start_search each own one
+/// per call and publish() it once at the end; the overloads without one
+/// use a temporary.
+struct EvalWorkspace {
+  core::RoutingWorkspace routing;
+  analytical::Eq5Scratch eq5;
+  obs::HotCounter calls;  ///< evaluate_design calls
+
+  /// Publish opt.eval.calls and the routing counters (see
+  /// core::RoutingWorkspace::publish) and reset them.
+  void publish();
+};
+
 /// Path-reuse twin of evaluate_design: when `reuse` holds routes for a
 /// superset allowed set on the same graph, demands whose cached path is
 /// untouched by the shrink skip Dijkstra entirely (see
-/// NetworkDesignProblem::try_route_in_subgraph_cached for the exact validity
+/// NetworkDesignProblem::route_in_subgraph for the exact validity
 /// rule — the result is bit-identical to the uncached evaluation). When
 /// `fill` is non-null it receives this evaluation's allowed set and routes
 /// (only on feasible results) for the next round. Either pointer may be
@@ -121,6 +136,14 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective,
                                 const RouteCache* reuse, RouteCache* fill);
+
+/// Workspace form of both evaluate_design overloads above, which run it on
+/// a temporary workspace and publish it.
+CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
+                                const std::vector<graph::NodeId>& nodes,
+                                const DesignObjective& objective,
+                                const RouteCache* reuse, RouteCache* fill,
+                                EvalWorkspace& ws);
 
 /// Evaluate a constructive solver's tree as a design seed.
 CandidateDesign design_from_tree(const core::NetworkDesignProblem& problem,

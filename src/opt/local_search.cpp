@@ -1,32 +1,11 @@
 #include "opt/local_search.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/counters.hpp"
+#include "opt/moves.hpp"
 
 namespace eend::opt {
-
-namespace {
-
-/// Dense membership mask over the graph's node ids.
-std::vector<char> membership(const graph::Graph& g,
-                             const std::vector<graph::NodeId>& nodes) {
-  std::vector<char> in(g.node_count(), 0);
-  for (graph::NodeId v : nodes) in[v] = 1;
-  return in;
-}
-
-std::vector<graph::NodeId> without(const std::vector<graph::NodeId>& nodes,
-                                   graph::NodeId drop) {
-  std::vector<graph::NodeId> out;
-  out.reserve(nodes.size() - 1);
-  for (graph::NodeId v : nodes)
-    if (v != drop) out.push_back(v);
-  return out;
-}
-
-}  // namespace
 
 CandidateDesign local_search(const core::NetworkDesignProblem& problem,
                              const CandidateDesign& start,
@@ -42,8 +21,13 @@ CandidateDesign local_search(const core::NetworkDesignProblem& problem,
 
   CandidateDesign cur = start;
   LocalSearchStats local;
+  EvalWorkspace ws;
+  MoveScratch moves(g);
+  const auto evaluate = [&](const std::vector<graph::NodeId>& cand) {
+    return evaluate_design(problem, cand, objective, nullptr, nullptr, ws);
+  };
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    const std::vector<char> in_cur = membership(g, cur.nodes);
+    moves.set_current(cur.nodes);
 
     CandidateDesign best;  // infeasible until a candidate beats nothing
     const auto consider = [&](CandidateDesign cand) {
@@ -55,35 +39,24 @@ CandidateDesign local_search(const core::NetworkDesignProblem& problem,
     // Relay removal: drop each non-endpoint active node.
     for (graph::NodeId v : cur.nodes) {
       if (is_terminal(v)) continue;
-      consider(evaluate_design(problem, without(cur.nodes, v), objective));
+      consider(evaluate(without(cur.nodes, v)));
     }
 
     // Steiner insertion: open each inactive node adjacent to the design.
-    std::set<graph::NodeId> frontier;
-    for (graph::NodeId v : cur.nodes)
-      for (const auto& [u, e] : g.neighbors(v)) {
-        (void)e;
-        if (!in_cur[u]) frontier.insert(u);
-      }
-    for (graph::NodeId u : frontier) {
+    for (graph::NodeId u : moves.inactive_neighbors(cur.nodes)) {
       std::vector<graph::NodeId> cand = cur.nodes;
       cand.push_back(u);
-      consider(evaluate_design(problem, cand, objective));
+      consider(evaluate(cand));
     }
 
     // Relay exchange (reroute): close relay v, open an inactive neighbor u
     // in the same move.
     for (graph::NodeId v : cur.nodes) {
       if (is_terminal(v)) continue;
-      std::set<graph::NodeId> swaps;
-      for (const auto& [u, e] : g.neighbors(v)) {
-        (void)e;
-        if (!in_cur[u]) swaps.insert(u);
-      }
-      for (graph::NodeId u : swaps) {
+      for (graph::NodeId u : moves.inactive_neighbors({&v, 1})) {
         std::vector<graph::NodeId> cand = without(cur.nodes, v);
         cand.push_back(u);
-        consider(evaluate_design(problem, cand, objective));
+        consider(evaluate(cand));
       }
     }
 
@@ -91,6 +64,7 @@ CandidateDesign local_search(const core::NetworkDesignProblem& problem,
     cur = std::move(best);
     ++local.passes;
   }
+  ws.publish();
   if (stats) *stats = local;
   obs::count("opt.ls.calls");
   obs::count("opt.ls.evaluations", local.evaluations);

@@ -5,6 +5,7 @@
 
 #include "graph/shortest_path.hpp"
 #include "obs/counters.hpp"
+#include "opt/moves.hpp"
 #include "opt/portfolio.hpp"
 #include "presolve/presolve.hpp"
 #include "util/check.hpp"
@@ -12,22 +13,6 @@
 namespace eend::opt {
 
 namespace {
-
-std::vector<char> membership(std::size_t n,
-                             const std::vector<graph::NodeId>& nodes) {
-  std::vector<char> in(n, 0);
-  for (graph::NodeId v : nodes) in[v] = 1;
-  return in;
-}
-
-std::vector<graph::NodeId> without(const std::vector<graph::NodeId>& nodes,
-                                   graph::NodeId drop) {
-  std::vector<graph::NodeId> out;
-  out.reserve(nodes.size() - 1);
-  for (graph::NodeId v : nodes)
-    if (v != drop) out.push_back(v);
-  return out;
-}
 
 /// Repair-region mask: the touched nodes plus two rings of graph
 /// neighbors — wide enough that an insertion can bridge around a failed or
@@ -72,10 +57,11 @@ WarmStartResult warm_start_search(
   };
 
   RouteCache cur_cache;
+  EvalWorkspace ws;
   const auto eval = [&](const std::vector<graph::NodeId>& cand,
                         const RouteCache* reuse, RouteCache* fill) {
     ++out.evaluations;
-    return evaluate_design(problem, cand, options.objective, reuse, fill);
+    return evaluate_design(problem, cand, options.objective, reuse, fill, ws);
   };
 
   // ---- stage 1: feasibility. Previous active set + current terminals;
@@ -91,7 +77,7 @@ WarmStartResult warm_start_search(
   for (std::size_t round = 0;
        !cur.feasible && round < problem.demands().size() + 1; ++round) {
     std::size_t failed = 0;
-    if (problem.try_route_in_subgraph(nodes, &failed)) break;
+    if (problem.route_in_subgraph(ws.routing, nodes, &failed)) break;
     const graph::Demand& d = problem.demands()[failed];
     const auto path = graph::dijkstra(g, d.source).path_to(d.destination);
     EEND_REQUIRE_MSG(!path.empty(),
@@ -113,8 +99,9 @@ WarmStartResult warm_start_search(
     obs::observe("opt.warm.repair_region_size",
                  static_cast<std::uint64_t>(
                      std::count(region.begin(), region.end(), char{1})));
+    MoveScratch moves(g);
     for (std::size_t pass = 0; pass < options.max_repair_passes; ++pass) {
-      const std::vector<char> in_cur = membership(g.node_count(), cur.nodes);
+      moves.set_current(cur.nodes);
       CandidateDesign best;
       std::vector<graph::NodeId> best_allowed;
       const auto consider = [&](std::vector<graph::NodeId> cand) {
@@ -131,13 +118,8 @@ WarmStartResult warm_start_search(
         consider(without(cur.nodes, v));
       }
 
-      std::set<graph::NodeId> frontier;
-      for (graph::NodeId v : cur.nodes)
-        for (const auto& [u, e] : g.neighbors(v)) {
-          (void)e;
-          if (!in_cur[u] && region[u]) frontier.insert(u);
-        }
-      for (graph::NodeId u : frontier) {
+      for (graph::NodeId u : moves.inactive_neighbors(
+               cur.nodes, [&](graph::NodeId x) { return region[x] != 0; })) {
         std::vector<graph::NodeId> cand = cur.nodes;
         cand.push_back(u);
         consider(std::move(cand));
@@ -145,12 +127,7 @@ WarmStartResult warm_start_search(
 
       for (graph::NodeId v : cur.nodes) {
         if (!region[v] || is_terminal(v)) continue;
-        std::set<graph::NodeId> swaps;
-        for (const auto& [u, e] : g.neighbors(v)) {
-          (void)e;
-          if (!in_cur[u]) swaps.insert(u);
-        }
-        for (graph::NodeId u : swaps) {
+        for (graph::NodeId u : moves.inactive_neighbors({&v, 1})) {
           std::vector<graph::NodeId> cand = without(cur.nodes, v);
           cand.push_back(u);
           consider(std::move(cand));
@@ -213,6 +190,7 @@ WarmStartResult warm_start_search(
     }
     out.rerouted_demands -= unchanged;
   }
+  ws.publish();
   if (out_routes) *out_routes = std::move(final_cache);
   out.design = std::move(cur);
   obs::count("opt.warm.calls");

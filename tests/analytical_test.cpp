@@ -159,6 +159,21 @@ TEST(DesignEval, RejectsInvalidPaths) {
   rd.path = {0, 2};  // no such edge
   EXPECT_THROW(evaluate_eq5(g, std::vector<RoutedDemand>{rd}, Eq5Params{}),
                CheckError);
+  // A carried edge id must join the hop's two nodes.
+  g.add_edge(1, 2, 1.0);
+  rd.path = {0, 1, 2};
+  rd.edges = {0, 0};
+  try {
+    evaluate_eq5(g, std::vector<RoutedDemand>{rd}, Eq5Params{});
+    ADD_FAILURE() << "edge 0 does not join 1 and 2";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("path hop 1->2 is not an edge"),
+              std::string::npos)
+        << e.what();
+  }
+  rd.edges = {0, 1};
+  EXPECT_EQ(evaluate_eq5(g, std::vector<RoutedDemand>{rd}, Eq5Params{}).data,
+            2.0);
 }
 
 TEST(DesignEval, SharedEdgeAccumulatesPackets) {
@@ -166,8 +181,8 @@ TEST(DesignEval, SharedEdgeAccumulatesPackets) {
   g.set_node_weight(1, 1.0);
   g.add_edge(0, 1, 2.0);
   g.add_edge(1, 2, 2.0);
-  RoutedDemand a{{0, 2, 1.0}, {0, 1, 2}, 3.0};
-  RoutedDemand b{{2, 0, 1.0}, {2, 1, 0}, 2.0};
+  RoutedDemand a{{0, 2, 1.0}, {0, 1, 2}, 3.0, {}};
+  RoutedDemand b{{2, 0, 1.0}, {2, 1, 0}, 2.0, {}};
   Eq5Params ep;
   const auto ev = evaluate_eq5(g, std::vector<RoutedDemand>{a, b}, ep);
   // Both edges carry 5 packets at weight 2.

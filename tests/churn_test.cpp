@@ -388,14 +388,20 @@ TEST(RouteCache, SubgraphRoutingCachedMatchesUncached) {
     if (v != victim) subset.push_back(v);
 
   const auto plain = inst.problem.try_route_in_subgraph(subset);
-  const auto fast = inst.problem.try_route_in_subgraph_cached(
-      subset, all, *cached_routes);
-  ASSERT_EQ(plain.has_value(), fast.has_value());
+  core::RoutingWorkspace ws;
   ASSERT_TRUE(plain.has_value());
-  ASSERT_EQ(plain->size(), fast->size());
+  ASSERT_TRUE(inst.problem.route_in_subgraph(ws, subset, nullptr, &all,
+                                             &*cached_routes));
+  const auto& fast = ws.routes;
+  ASSERT_EQ(plain->size(), fast.size());
   for (std::size_t i = 0; i < plain->size(); ++i) {
-    EXPECT_EQ((*plain)[i].path, (*fast)[i].path) << "demand " << i;
-    EXPECT_EQ((*plain)[i].packets, (*fast)[i].packets) << "demand " << i;
+    EXPECT_EQ((*plain)[i].path, fast[i].path) << "demand " << i;
+    EXPECT_EQ((*plain)[i].edges, fast[i].edges) << "demand " << i;
+    EXPECT_EQ((*plain)[i].packets, fast[i].packets) << "demand " << i;
+  }
+  // Every demand consulted the cache: a hit, or a miss searched again.
+  if (obs::kEnabled) {
+    EXPECT_EQ(ws.route_hits.value() + ws.route_misses.value(), fast.size());
   }
 }
 

@@ -87,11 +87,22 @@ TEST(Dijkstra, MaskedNodesAreNeverEntered) {
   g.add_edge(0, 3, 2.0);
   g.add_edge(3, 2, 2.0);
   EXPECT_EQ(dijkstra(g, 0).path_to(2), (std::vector<NodeId>{0, 1, 2}));
-  const std::vector<char> allowed{1, 0, 1, 1};
-  const auto t = dijkstra(g, 0, allowed);
-  EXPECT_EQ(t.path_to(2), (std::vector<NodeId>{0, 3, 2}));
-  EXPECT_DOUBLE_EQ(t.distance[2], 4.0);
-  EXPECT_FALSE(t.reachable(1));
+  SubgraphRouter router;
+  const std::vector<NodeId> allowed{3, 0, 2};
+  router.restrict_to(g, allowed);
+  EXPECT_FALSE(router.contains(1));
+  std::vector<NodeId> path;
+  std::vector<EdgeId> edges;
+  ASSERT_TRUE(router.route(0, 2, path, edges));
+  EXPECT_EQ(path, (std::vector<NodeId>{0, 3, 2}));
+  EXPECT_EQ(edges, (std::vector<EdgeId>{2, 3}));
+  // Node 1 is never entered, so it cannot even be an endpoint.
+  EXPECT_THROW(router.route(0, 1, path, edges), CheckError);
+  // Without node 3 the two halves are disconnected.
+  const std::vector<NodeId> split{0, 2};
+  router.restrict_to(g, split);
+  EXPECT_FALSE(router.route(0, 2, path, edges));
+  EXPECT_EQ(router.runs.value(), obs::kEnabled ? 2u : 0u);
 }
 
 TEST(BellmanFord, MatchesDijkstraOnTriangle) {

@@ -131,11 +131,13 @@ TEST(ObsCounters, MergeIsOrderIndependent) {
   EXPECT_EQ(jsonl_of(ab, "x"), jsonl_of(ba, "x"));
 }
 
-// --- Engine-level determinism on the shipped churn manifest ---------------
+// --- Engine-level determinism on the shipped manifests ---------------------
 
-std::string run_churn_counters(std::size_t jobs) {
+/// The --counters JSONL of one shipped manifest run at --quick.
+std::string run_manifest_counters(const std::string& manifest,
+                                  std::size_t jobs) {
   const core::Manifest m =
-      core::Manifest::load(EEND_MANIFEST_DIR "/design_churn.json");
+      core::Manifest::load(EEND_MANIFEST_DIR "/" + manifest + ".json");
   std::ostringstream counters;
   core::EngineOptions opts;
   opts.jobs = jobs;
@@ -148,7 +150,7 @@ std::string run_churn_counters(std::size_t jobs) {
 
 TEST(ObsEngine, CountersAreByteIdenticalAcrossJobs) {
   if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
-  const std::string serial = run_churn_counters(1);
+  const std::string serial = run_manifest_counters("design_churn", 1);
   ASSERT_FALSE(serial.empty());
   // Spot-check the catalog: churn cells exercise the sim core, the route
   // cache, and the churn engine itself.
@@ -160,23 +162,10 @@ TEST(ObsEngine, CountersAreByteIdenticalAcrossJobs) {
             std::string::npos);
   EXPECT_NE(serial.find("\"experiment\":\"churn_serving\""),
             std::string::npos);
-  EXPECT_EQ(serial, run_churn_counters(8));
+  EXPECT_EQ(serial, run_manifest_counters("design_churn", 8));
 }
 
 // --- Protocol-stack counters on the shipped small-field manifest ---------
-
-std::string run_small_field_counters(std::size_t jobs) {
-  const core::Manifest m =
-      core::Manifest::load(EEND_MANIFEST_DIR "/small_field.json");
-  std::ostringstream counters;
-  core::EngineOptions opts;
-  opts.jobs = jobs;
-  opts.quick = true;
-  opts.counters = &counters;
-  core::ExperimentEngine engine(opts);
-  engine.run(m);
-  return counters.str();
-}
 
 /// Value of counter `name` in counters JSONL, or -1 when it is absent.
 long long counter_value(const std::string& jsonl, const std::string& name) {
@@ -192,7 +181,7 @@ TEST(ObsEngine, ProtocolStackNeverSpillsClosures) {
   // so a spill per transmission shows here as a failure, not as noise in a
   // wall-clock benchmark. fig8 --quick runs all eight stacks.
   if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
-  const std::string c = run_small_field_counters(2);
+  const std::string c = run_manifest_counters("small_field", 2);
   EXPECT_GT(counter_value(c, "net.channel_transmissions"), 0);
   EXPECT_EQ(counter_value(c, "sim.closure_pool_spills"), 0);
 }
@@ -202,9 +191,27 @@ TEST(ObsEngine, RoutingWorkCounterIsByteIdenticalAcrossJobs) {
   // exact per-entry denominator for DSDV table work; like every counter it
   // must not depend on the thread count.
   if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
-  const std::string serial = run_small_field_counters(1);
+  const std::string serial = run_manifest_counters("small_field", 1);
   EXPECT_GT(counter_value(serial, "routing.update_entries"), 0);
-  EXPECT_EQ(serial, run_small_field_counters(4));
+  EXPECT_EQ(serial, run_manifest_counters("small_field", 4));
+}
+
+TEST(ObsEngine, DesignWorkCountersAreByteIdenticalAcrossJobs) {
+  // graph.dijkstra.runs / .settled and opt.eval.calls are the exact
+  // denominators of design-search work: searches run, nodes settled and
+  // candidates scored. The portfolio manifest fans its starts out over the
+  // pool and the churn manifest runs warm repair, so both paths publish.
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
+  for (const char* manifest : {"design_portfolio", "design_churn"}) {
+    const std::string serial = run_manifest_counters(manifest, 1);
+    for (const char* name :
+         {"graph.dijkstra.runs", "graph.dijkstra.settled", "opt.eval.calls"})
+      EXPECT_GT(counter_value(serial, name), 0) << manifest << " " << name;
+    EXPECT_GE(counter_value(serial, "graph.dijkstra.settled"),
+              counter_value(serial, "graph.dijkstra.runs"))
+        << manifest;
+    EXPECT_EQ(serial, run_manifest_counters(manifest, 8)) << manifest;
+  }
 }
 
 // --- Chrome trace emission ------------------------------------------------

@@ -2,6 +2,8 @@
 // across randomized inputs and across every protocol stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analytical/route_energy.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/steiner.hpp"
@@ -49,35 +51,46 @@ TEST_P(ShortestPathProperty, DijkstraMatchesBellmanFord) {
 }
 
 TEST_P(ShortestPathProperty, MaskedTargetStopMatchesInducedSubgraph) {
-  // A masked run stopped at the target against a full run on the induced
-  // subgraph built explicitly (same node ids, allowed-to-allowed edges in
-  // their original order): same path, and every node that settled before
-  // the target has its final distance.
+  // The induced-subgraph router, stopped at each target, against a full
+  // dijkstra() on the induced subgraph built explicitly (same node ids,
+  // allowed-to-allowed edges in their original order): the same path, the
+  // relaxed edges joining its hops, and their weights summing bit-exactly
+  // to the full run's distance. One router serves every target in turn.
   Rng rng(GetParam() * 31337);
   const std::size_t n = 4 + rng.next_below(28);
   const graph::Graph g = random_ring_graph(rng, n);
   const auto src = static_cast<graph::NodeId>(rng.next_below(n));
-  const auto dst = static_cast<graph::NodeId>(rng.next_below(n));
-  std::vector<char> allowed(n);
-  for (graph::NodeId v = 0; v < n; ++v) allowed[v] = rng.bernoulli(0.7);
-  allowed[src] = allowed[dst] = 1;
+  std::vector<graph::NodeId> allowed;
+  for (graph::NodeId v = 0; v < n; ++v)
+    if (v == src || rng.bernoulli(0.7)) allowed.push_back(v);
   graph::Graph sub(n);
-  for (const graph::Edge& e : g.edges())
-    if (allowed[e.u] && allowed[e.v]) sub.add_edge(e.u, e.v, e.weight);
+  for (const graph::Edge& e : g.edges()) {
+    const auto in = [&](graph::NodeId v) {
+      return std::binary_search(allowed.begin(), allowed.end(), v);
+    };
+    if (in(e.u) && in(e.v)) sub.add_edge(e.u, e.v, e.weight);
+  }
 
   const auto full = graph::dijkstra(sub, src);
-  const auto masked = graph::dijkstra(g, src, allowed, dst);
-  EXPECT_EQ(masked.path_to(dst), full.path_to(dst));
-  EXPECT_EQ(masked.distance[dst], full.distance[dst]);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (!allowed[v]) {
-      EXPECT_FALSE(masked.reachable(v)) << "node " << v;
+  graph::SubgraphRouter router;
+  std::reverse(allowed.begin(), allowed.end());  // any order will do
+  router.restrict_to(g, allowed);
+  std::vector<graph::NodeId> path;
+  std::vector<graph::EdgeId> edges;
+  for (graph::NodeId dst : allowed) {
+    const bool found = router.route(src, dst, path, edges);
+    ASSERT_EQ(found, full.reachable(dst)) << "node " << dst;
+    if (!found) continue;
+    EXPECT_EQ(path, full.path_to(dst)) << "node " << dst;
+    ASSERT_EQ(edges.size() + 1, path.size());
+    double cost = 0.0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const graph::Edge& e = g.edge(edges[i]);
+      EXPECT_TRUE((e.u == path[i] && e.v == path[i + 1]) ||
+                  (e.v == path[i] && e.u == path[i + 1]));
+      cost += e.weight;
     }
-    if (masked.distance[v] < masked.distance[dst]) {
-      EXPECT_EQ(masked.distance[v], full.distance[v]) << "node " << v;
-      EXPECT_EQ(masked.path_to(v), full.path_to(v)) << "node " << v;
-    }
-    EXPECT_GE(masked.distance[v], full.distance[v]) << "node " << v;
+    EXPECT_EQ(cost, full.distance[dst]) << "node " << dst;
   }
 }
 
