@@ -43,6 +43,12 @@ case "$MODE" in
   *) echo "usage: $0 [release|asan|tsan|all]" >&2; exit 2 ;;
 esac
 
+# The determinism checks' outputs go to one private directory, removed on
+# exit: concurrent runs on one host cannot overwrite each other's files
+# between a write and its cmp, and no run leaves files behind.
+OUT="$(mktemp -d "${TMPDIR:-/tmp}/eend_ci.XXXXXX")"
+trap 'rm -rf "$OUT"' EXIT
+
 echo "== configure + build =="
 cmake -B build -S . -DEEND_WERROR=ON
 cmake --build build -j"$JOBS"
@@ -94,12 +100,12 @@ echo "== design search: quick design_portfolio cell, jobs=1 vs jobs=8 =="
   --list | grep -q "portfolio_scaling  \[design\]"
 for j in 1 8; do
   ./build/tools/eend_run --manifest examples/manifests/design_portfolio.json \
-    --quick --quiet --csv="/tmp/eend_dp_j$j.csv" \
-    --jsonl="/tmp/eend_dp_j$j.jsonl" --jobs="$j" > "/tmp/eend_dp_j$j.out"
+    --quick --quiet --csv="$OUT/dp_j$j.csv" \
+    --jsonl="$OUT/dp_j$j.jsonl" --jobs="$j" > "$OUT/dp_j$j.out"
 done
-cmp /tmp/eend_dp_j1.out /tmp/eend_dp_j8.out
-cmp /tmp/eend_dp_j1.csv /tmp/eend_dp_j8.csv
-cmp /tmp/eend_dp_j1.jsonl /tmp/eend_dp_j8.jsonl
+cmp "$OUT/dp_j1.out" "$OUT/dp_j8.out"
+cmp "$OUT/dp_j1.csv" "$OUT/dp_j8.csv"
+cmp "$OUT/dp_j1.jsonl" "$OUT/dp_j8.jsonl"
 echo "OK: design kind byte-identical for jobs=1 and jobs=8"
 
 echo "== design replay: simulated-vs-analytic bench (JSON artifact) =="
@@ -113,12 +119,12 @@ echo "== design replay: quick design_replay cell, jobs=1 vs jobs=8 =="
   --list | grep -q "replay_scaling  \[replay\]"
 for j in 1 8; do
   ./build/tools/eend_run --manifest examples/manifests/design_replay.json \
-    --quick --quiet --csv="/tmp/eend_dr_j$j.csv" \
-    --jsonl="/tmp/eend_dr_j$j.jsonl" --jobs="$j" > "/tmp/eend_dr_j$j.out"
+    --quick --quiet --csv="$OUT/dr_j$j.csv" \
+    --jsonl="$OUT/dr_j$j.jsonl" --jobs="$j" > "$OUT/dr_j$j.out"
 done
-cmp /tmp/eend_dr_j1.out /tmp/eend_dr_j8.out
-cmp /tmp/eend_dr_j1.csv /tmp/eend_dr_j8.csv
-cmp /tmp/eend_dr_j1.jsonl /tmp/eend_dr_j8.jsonl
+cmp "$OUT/dr_j1.out" "$OUT/dr_j8.out"
+cmp "$OUT/dr_j1.csv" "$OUT/dr_j8.csv"
+cmp "$OUT/dr_j1.jsonl" "$OUT/dr_j8.jsonl"
 echo "OK: replay kind byte-identical for jobs=1 and jobs=8"
 
 echo "== design churn: warm-start serving-loop bench (JSON artifact) =="
@@ -141,24 +147,24 @@ echo "== design churn: quick design_churn cell, jobs=1 vs jobs=8 =="
   --list | grep -q "churn_serving  \[churn\]"
 for j in 1 8; do
   ./build/tools/eend_run --manifest examples/manifests/design_churn.json \
-    --quick --quiet --csv="/tmp/eend_dc_j$j.csv" \
-    --jsonl="/tmp/eend_dc_j$j.jsonl" --jobs="$j" \
-    --counters="/tmp/eend_dc_j$j.counters.jsonl" \
-    --trace="/tmp/eend_dc_j$j.trace.json" > "/tmp/eend_dc_j$j.out"
+    --quick --quiet --csv="$OUT/dc_j$j.csv" \
+    --jsonl="$OUT/dc_j$j.jsonl" --jobs="$j" \
+    --counters="$OUT/dc_j$j.counters.jsonl" \
+    --trace="$OUT/dc_j$j.trace.json" > "$OUT/dc_j$j.out"
 done
-cmp /tmp/eend_dc_j1.out /tmp/eend_dc_j8.out
-cmp /tmp/eend_dc_j1.csv /tmp/eend_dc_j8.csv
-cmp /tmp/eend_dc_j1.jsonl /tmp/eend_dc_j8.jsonl
-cmp /tmp/eend_dc_j1.counters.jsonl /tmp/eend_dc_j8.counters.jsonl
+cmp "$OUT/dc_j1.out" "$OUT/dc_j8.out"
+cmp "$OUT/dc_j1.csv" "$OUT/dc_j8.csv"
+cmp "$OUT/dc_j1.jsonl" "$OUT/dc_j8.jsonl"
+cmp "$OUT/dc_j1.counters.jsonl" "$OUT/dc_j8.counters.jsonl"
 echo "OK: churn kind byte-identical for jobs=1 and jobs=8 (incl. --counters)"
 # The counter catalog must cover all three layers: sim core, design
 # search cache, and the churn engine.
 for name in sim.events_fired opt.cache.route_hits churn.events_applied; do
-  grep -q "\"counter\":\"$name\"" /tmp/eend_dc_j1.counters.jsonl
+  grep -q "\"counter\":\"$name\"" "$OUT/dc_j1.counters.jsonl"
 done
-test -s /tmp/eend_dc_j1.trace.json
-cp /tmp/eend_dc_j1.counters.jsonl COUNTERS_design_churn.jsonl
-cp /tmp/eend_dc_j1.trace.json TRACE_design_churn.json
+test -s "$OUT/dc_j1.trace.json"
+cp "$OUT/dc_j1.counters.jsonl" COUNTERS_design_churn.jsonl
+cp "$OUT/dc_j1.trace.json" TRACE_design_churn.json
 echo "OK: counters cover sim/opt/churn, wrote COUNTERS_design_churn.jsonl + TRACE_design_churn.json"
 
 echo "== benchmark: determinism self-test on the design workloads =="
@@ -206,35 +212,35 @@ echo "OK: wrote BENCH_channel_build.json"
 
 echo "== spatial index: 2k-node huge_field smoke (eend_run --quick) =="
 ./build/tools/eend_run --manifest examples/manifests/huge_field.json \
-  --quick --quiet --jobs=0 > /tmp/eend_huge.out
-grep -q "Huge field" /tmp/eend_huge.out
+  --quick --quiet --jobs=0 > "$OUT/huge.out"
+grep -q "Huge field" "$OUT/huge.out"
 echo "OK: 2k-node field simulated end-to-end"
 
 echo "== grid kind: quick hypo_grid fig13, jobs=1 vs jobs=8 =="
 for j in 1 8; do
   ./build/tools/eend_run --manifest examples/manifests/hypo_grid.json \
-    --quick --quiet --only=fig13 --csv="/tmp/eend_hg_j$j.csv" \
-    --jsonl="/tmp/eend_hg_j$j.jsonl" --jobs="$j" > "/tmp/eend_hg_j$j.out"
+    --quick --quiet --only=fig13 --csv="$OUT/hg_j$j.csv" \
+    --jsonl="$OUT/hg_j$j.jsonl" --jobs="$j" > "$OUT/hg_j$j.out"
 done
-cmp /tmp/eend_hg_j1.out /tmp/eend_hg_j8.out
-cmp /tmp/eend_hg_j1.csv /tmp/eend_hg_j8.csv
-cmp /tmp/eend_hg_j1.jsonl /tmp/eend_hg_j8.jsonl
+cmp "$OUT/hg_j1.out" "$OUT/hg_j8.out"
+cmp "$OUT/hg_j1.csv" "$OUT/hg_j8.csv"
+cmp "$OUT/hg_j1.jsonl" "$OUT/hg_j8.jsonl"
 echo "OK: grid kind byte-identical for jobs=1 and jobs=8"
 
 echo "== manifest engine: eend_run reproduces Fig 7, CSV/JSONL deterministic =="
 ./build/tools/eend_run --manifest examples/manifests/fig7_small.json \
-  --jobs=0 --quiet --csv=/tmp/eend_fig7.csv --jsonl=/tmp/eend_fig7.jsonl \
-  > /tmp/eend_fig7.out
-grep -q "Figure 7" /tmp/eend_fig7.out
+  --jobs=0 --quiet --csv="$OUT/fig7.csv" --jsonl="$OUT/fig7.jsonl" \
+  > "$OUT/fig7.out"
+grep -q "Figure 7" "$OUT/fig7.out"
 # stdout tables AND machine files must be byte-identical for any --jobs.
 for j in 1 8; do
   ./build/tools/eend_run --manifest examples/manifests/small_field.json \
-    --quick --quiet --csv="/tmp/eend_sf_j$j.csv" \
-    --jsonl="/tmp/eend_sf_j$j.jsonl" --jobs="$j" > "/tmp/eend_sf_j$j.out"
+    --quick --quiet --csv="$OUT/sf_j$j.csv" \
+    --jsonl="$OUT/sf_j$j.jsonl" --jobs="$j" > "$OUT/sf_j$j.out"
 done
-cmp /tmp/eend_sf_j1.out /tmp/eend_sf_j8.out
-cmp /tmp/eend_sf_j1.csv /tmp/eend_sf_j8.csv
-cmp /tmp/eend_sf_j1.jsonl /tmp/eend_sf_j8.jsonl
+cmp "$OUT/sf_j1.out" "$OUT/sf_j8.out"
+cmp "$OUT/sf_j1.csv" "$OUT/sf_j8.csv"
+cmp "$OUT/sf_j1.jsonl" "$OUT/sf_j8.jsonl"
 echo "OK: eend_run output identical for jobs=1 and jobs=8"
 
 # The golden regression suite runs under ctest above (from build/tests, so

@@ -78,14 +78,10 @@ graph::SteinerTree NetworkDesignProblem::solve_edge_weighted() const {
 }
 
 void RoutingWorkspace::publish() {
-  const auto flush = [](const char* name, obs::HotCounter& c) {
-    if (c.value() > 0) obs::count(name, c.value());
-    c = obs::HotCounter{};
-  };
-  flush("graph.dijkstra.runs", router.runs);
-  flush("graph.dijkstra.settled", router.settled);
-  flush("opt.cache.route_hits", route_hits);
-  flush("opt.cache.route_misses", route_misses);
+  obs::publish("graph.dijkstra.runs", router.runs);
+  obs::publish("graph.dijkstra.settled", router.settled);
+  obs::publish("opt.cache.route_hits", route_hits);
+  obs::publish("opt.cache.route_misses", route_misses);
 }
 
 std::optional<std::vector<analytical::RoutedDemand>>

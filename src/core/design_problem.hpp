@@ -112,16 +112,17 @@ class NetworkDesignProblem {
   /// `cached_allowed` (same graph, same demand endpoints; rates may have
   /// changed — paths are rate-independent) — reuses them for incremental
   /// re-evaluation. When `allowed_nodes` is a subset of `cached_allowed`, a
-  /// cached path that avoids every removed node is still a shortest path
-  /// (removing options can only lengthen paths) and is reused verbatim;
-  /// only demands whose cached path touches a removed node — or whose
-  /// endpoints changed — are searched again. Whenever the subset
-  /// precondition fails (e.g. nodes were *added*, which can create shorter
-  /// paths) every demand is searched. Caveat: bit-equality with the
-  /// uncached routing additionally needs unique shortest paths; exact float
-  /// ties could re-break differently, but the random geometric weights
-  /// every instance family draws make ties measure-zero (churn_test pins
-  /// the equality on those families).
+  /// cached path that avoids every removed node is reused verbatim; only
+  /// demands whose cached path touches a removed node — or whose endpoints
+  /// changed — are searched again. Whenever the subset precondition fails
+  /// (e.g. nodes were *added*, which can create shorter paths) every demand
+  /// is searched. The reuse is bit-identical to searching afresh, ties
+  /// included: removing nodes only removes paths, so no distance shrinks
+  /// and each node of the cached path keeps its own. A node whose arc now
+  /// ties a path node's distance tied it before too and pops no earlier,
+  /// so the parent the strict-< relaxation keeps — the first such node in
+  /// (distance, id) order — is unchanged
+  /// (EvalDifferential.RouteCacheReuseIsExactUnderTies).
   bool route_in_subgraph(
       RoutingWorkspace& ws, const std::vector<graph::NodeId>& allowed_nodes,
       std::size_t* failed_demand = nullptr,

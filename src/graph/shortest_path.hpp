@@ -40,6 +40,9 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source);
 /// search stops once its target settles; settled nodes never change parent
 /// again. Buffers persist across calls, so a router reused over many
 /// candidates stops allocating once they reach the largest A.
+///
+/// set_move() and route_move() search a one-node variant of A on the same
+/// CSR, without rebuilding it (see set_move).
 class SubgraphRouter {
  public:
   /// Restrict routing to the nodes in `allowed` (any order, duplicates
@@ -57,6 +60,7 @@ class SubgraphRouter {
     return v < local_of_.size() ? local_of_[v] : kInvalidNode;
   }
   std::size_t node_count() const { return global_.size(); }
+  NodeId global_id(NodeId local) const { return global_[local]; }
 
   /// Shortest source -> target path inside G[A]; both endpoints must be in
   /// A. On success `path` holds the nodes source..target and `edges` the
@@ -66,16 +70,50 @@ class SubgraphRouter {
   bool route(NodeId source, NodeId target, std::vector<NodeId>& path,
              std::vector<EdgeId>& edges);
 
-  obs::HotCounter runs;     ///< searches run
-  obs::HotCounter settled;  ///< nodes settled, summed over searches
+  /// Distances of the last route(), by local id: exact for every node that
+  /// settled before the target, a tentative upper bound (or kInfCost) for
+  /// the rest. A node x settled iff (d[x], x) <= (d[target], target).
+  std::span<const double> distances() const {
+    return {dist_.data(), node_count()};
+  }
 
- private:
+  /// Make route_move() search A \ {removed} ∪ {added}: `removed` (in A, or
+  /// kInvalidNode) is masked and `added` (outside A, or kInvalidNode) joins
+  /// with its arcs to the rest, in its adjacency order. Heap keys rank
+  /// `added` between its global-id neighbours in A, so the pop order is
+  /// (distance, global id) and the paths are those route() finds after
+  /// restrict_to() of that set. Valid until the next restrict_to().
+  void set_move(NodeId removed, NodeId added);
+
+  /// The arcs joining `added` to A \ {removed}, in its adjacency order,
+  /// after set_move(); `to` is a local id.
   struct Arc {
     NodeId to;  ///< local id
     EdgeId edge;
     double weight;
   };
+  std::span<const Arc> added_arcs() const { return added_arcs_; }
+
+  /// route() on the set_move() variant; both endpoints must be in it.
+  bool route_move(NodeId source, NodeId target, std::vector<NodeId>& path,
+                  std::vector<EdgeId>& edges);
+
+  obs::HotCounter runs;     ///< searches run
+  obs::HotCounter settled;  ///< nodes settled, summed over searches
+
+ private:
   void build_arcs();
+  /// Local id of v in the set_move() variant: node_count() for `added`,
+  /// kInvalidNode for `removed` and outside the variant.
+  NodeId move_local(NodeId v) const;
+  /// The search behind route() (kMove false: A) and route_move() (kMove
+  /// true: the set_move() variant), from local id s to local id t.
+  template <bool kMove>
+  bool search(NodeId s, NodeId t, std::vector<NodeId>& path,
+              std::vector<EdgeId>& edges);
+  /// Path source..target from the parent links of the last search.
+  void trace_back(NodeId s, NodeId t, std::vector<NodeId>& path,
+                  std::vector<EdgeId>& edges) const;
 
   const Graph* g_ = nullptr;
   std::vector<NodeId> local_of_;  ///< global -> local, kInvalidNode outside A
@@ -86,7 +124,15 @@ class SubgraphRouter {
   std::vector<double> dist_;
   std::vector<NodeId> parent_;       ///< local ids
   std::vector<EdgeId> parent_edge_;
-  std::vector<std::pair<double, NodeId>> heap_;  ///< (distance, local id)
+  std::vector<std::pair<double, NodeId>> heap_;  ///< (distance, key)
+
+  // set_move() state. route_move()'s heap keys are ranks: 2l + 1 for local
+  // id l and added_rank_ (even) for `added`.
+  NodeId removed_local_ = kInvalidNode;
+  NodeId added_ = kInvalidNode;
+  NodeId added_rank_ = 0;
+  std::vector<Arc> added_arcs_;
+  std::vector<char> joins_added_;  ///< by local id: has an arc to `added`
 };
 
 /// Bellman-Ford oracle; O(VE), tolerant of zero weights, used in tests to

@@ -9,6 +9,7 @@
 #include "graph/connectivity.hpp"
 #include "graph/mst.hpp"
 #include "graph/shortest_path.hpp"
+#include "obs/counters.hpp"
 
 namespace eend::graph {
 
@@ -90,6 +91,7 @@ class SpiderSearch {
       const auto [d, u] = heap_.back();
       heap_.pop_back();
       if (d > dist_[u]) continue;  // stale entry
+      settled.add();
       if (!visit(u, d)) return;
       for (const auto& [v, e] : g_.neighbors(u)) {
         const double nd = d + step_[v];
@@ -106,6 +108,8 @@ class SpiderSearch {
 
   double dist(NodeId v) const { return dist_[v]; }
   NodeId parent(NodeId v) const { return parent_[v]; }
+
+  obs::HotCounter settled;  ///< nodes settled, summed over runs
 
  private:
   const Graph& g_;
@@ -259,6 +263,7 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   std::size_t active_components = next_comp;
 
   SpiderSearch search(g, step);
+  obs::HotCounter centers_scanned;          // spider-scan searches run
   std::vector<char> has_leg(next_comp, 0);  // per component, per center
   std::vector<NodeId> leg_comps;            // components with has_leg set
   while (active_components > 1) {
@@ -277,6 +282,7 @@ SteinerTree klein_ravi_steiner(const Graph& g,
     double best_ratio = kInfCost;
     NodeId best_center = kInvalidNode;
     std::size_t best_degree = 0;
+    centers_scanned.add(n);
     for (NodeId center = 0; center < n; ++center) {
       double acc = step[center];
       std::size_t legs = 0;
@@ -345,6 +351,8 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       if (comp[v] != kInvalidNode && merging[comp[v]]) comp[v] = merged;
     active_components -= targets.size() - 1;
   }
+  obs::publish("steiner.kr.centers_scanned", centers_scanned);
+  obs::publish("steiner.kr.settled", search.settled);
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
   // spanning structure works; MST keeps edge cost tidy), then prune.

@@ -98,4 +98,11 @@ class ScopedRegistry {
 void count(std::string_view name, std::uint64_t delta = 1);
 void observe(std::string_view name, std::uint64_t value);
 
+/// count() a hot counter's total, nothing when it is zero (unused counters
+/// stay absent), and reset it.
+inline void publish(std::string_view name, HotCounter& c) {
+  if (c.value() > 0) count(name, c.value());
+  c = HotCounter{};
+}
+
 }  // namespace eend::obs

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "obs/counters.hpp"
+#include "opt/move_eval.hpp"
 #include "opt/moves.hpp"
 #include "util/rng.hpp"
 
@@ -30,43 +31,41 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
   std::uint64_t proposals = 0, accepted = 0, improved = 0;
 
   // Current move surface: relays (closable), frontier (openable),
-  // per-relay inactive neighbors (exchangeable). It changes only when a
-  // move is accepted.
-  EvalWorkspace ws;
+  // per-relay inactive neighbors (exchangeable), and the evaluator's
+  // incumbent. It changes only when an accepted move changes the design.
+  MoveEvaluator eval(problem, objective);
   MoveScratch moves(g);
-  std::vector<graph::NodeId> relays;
+  std::vector<graph::NodeId> relays, frontier;
   const auto set_current = [&] {
     moves.set_current(cur.nodes);
+    eval.reset(cur.nodes);
     relays.clear();
     for (graph::NodeId v : cur.nodes)
       if (!is_terminal(v)) relays.push_back(v);
+    frontier = moves.inactive_neighbors(cur.nodes);
   };
   set_current();
-  std::vector<graph::NodeId> proposal;
 
   for (std::size_t it = 0; it < schedule.iterations;
        ++it, temp *= schedule.cooling) {
-    proposal = cur.nodes;
+    graph::NodeId removed = graph::kInvalidNode;
+    graph::NodeId added = graph::kInvalidNode;
     const std::uint64_t family = rng.next_below(3);
     if (family == 0) {  // relay removal
       if (relays.empty()) continue;
-      const graph::NodeId v = relays[rng.next_below(relays.size())];
-      proposal.erase(std::find(proposal.begin(), proposal.end(), v));
+      removed = relays[rng.next_below(relays.size())];
     } else if (family == 1) {  // Steiner insertion
-      const auto& cands = moves.inactive_neighbors(cur.nodes);
-      if (cands.empty()) continue;
-      proposal.push_back(cands[rng.next_below(cands.size())]);
+      if (frontier.empty()) continue;
+      added = frontier[rng.next_below(frontier.size())];
     } else {  // relay exchange
       if (relays.empty()) continue;
-      const graph::NodeId v = relays[rng.next_below(relays.size())];
-      const auto& cands = moves.inactive_neighbors({&v, 1});
+      removed = relays[rng.next_below(relays.size())];
+      const auto& cands = moves.inactive_neighbors({&removed, 1});
       if (cands.empty()) continue;
-      proposal.erase(std::find(proposal.begin(), proposal.end(), v));
-      proposal.push_back(cands[rng.next_below(cands.size())]);
+      added = cands[rng.next_below(cands.size())];
     }
 
-    CandidateDesign cand =
-        evaluate_design(problem, proposal, objective, nullptr, nullptr, ws);
+    const CandidateDesign& cand = eval.evaluate(removed, added);
     if (!cand.feasible) continue;
     ++proposals;
     const double delta = cand.cost() - cur.cost();
@@ -79,14 +78,15 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
     // histogram shape shows whether cooling freezes the walk too early).
     obs::observe("opt.sa.accept_decile",
                  schedule.iterations == 0 ? 0 : it * 10 / schedule.iterations);
-    cur = std::move(cand);
-    set_current();
+    const bool moved = cand.nodes != cur.nodes;
+    cur = cand;
+    if (moved) set_current();
     if (cur.cost() < best.cost()) {
       best = cur;
       ++improved;
     }
   }
-  ws.publish();
+  eval.publish();
   obs::count("opt.sa.calls");
   obs::count("opt.sa.proposals", proposals);
   obs::count("opt.sa.accepted", accepted);

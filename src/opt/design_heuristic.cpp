@@ -37,9 +37,33 @@ std::vector<double> node_energy_loads(
 }
 
 void EvalWorkspace::publish() {
-  if (calls.value() > 0) obs::count("opt.eval.calls", calls.value());
-  calls = obs::HotCounter{};
+  obs::publish("opt.eval.calls", calls);
   routing.publish();
+}
+
+void score_routes(const graph::Graph& g,
+                  std::span<const analytical::RoutedDemand> routes,
+                  const DesignObjective& objective,
+                  analytical::Eq5Scratch& eq5, CandidateDesign& out) {
+  out.score = analytical::evaluate_eq5(g, routes, objective.eval, eq5);
+  out.max_node_load = 0.0;
+  out.lifetime_penalty = 0.0;
+  // The load scan is O(N + route length) per evaluation and only the
+  // lifetime objective consumes it; the plain mode — the innermost loop of
+  // every design-kind search — must not pay for it.
+  if (objective.battery_budget_j > 0.0) {
+    double overload = 0.0;
+    for (const double l : node_energy_loads(g, routes, objective.eval)) {
+      out.max_node_load = std::max(out.max_node_load, l);
+      overload += std::max(0.0, l - objective.battery_budget_j);
+    }
+    out.lifetime_penalty = objective.overload_penalty * overload;
+  }
+  // Normalize the state to the nodes the routing actually uses — Eq. 5's
+  // active set, ascending: allowed-but-unused nodes contribute nothing to
+  // Eq. 5 and would make equal-cost designs compare unequal.
+  out.nodes = eq5.active;
+  out.feasible = true;
 }
 
 CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
@@ -77,26 +101,7 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
     return out;
   }
   const std::vector<analytical::RoutedDemand>& routes = ws.routing.routes;
-  out.score =
-      analytical::evaluate_eq5(problem.graph(), routes, objective.eval, ws.eq5);
-  // The load scan is O(N + route length) per evaluation and only the
-  // lifetime objective consumes it; the plain mode — the innermost loop of
-  // every design-kind search — must not pay for it.
-  if (objective.battery_budget_j > 0.0) {
-    const std::vector<double> loads =
-        node_energy_loads(problem.graph(), routes, objective.eval);
-    double overload = 0.0;
-    for (const double l : loads) {
-      out.max_node_load = std::max(out.max_node_load, l);
-      overload += std::max(0.0, l - objective.battery_budget_j);
-    }
-    out.lifetime_penalty = objective.overload_penalty * overload;
-  }
-  // Normalize the state to the nodes the routing actually uses — Eq. 5's
-  // active set, ascending: allowed-but-unused nodes contribute nothing to
-  // Eq. 5 and would make equal-cost designs compare unequal.
-  out.nodes = ws.eq5.active;
-  out.feasible = true;
+  score_routes(problem.graph(), routes, objective, ws.eq5, out);
   if (fill) {
     // Memoize against the *allowed* set (pre-normalization): the subset
     // test in the cached routing twin compares allowed sets, not the

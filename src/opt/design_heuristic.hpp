@@ -84,6 +84,15 @@ std::vector<double> node_energy_loads(
     std::span<const analytical::RoutedDemand> routes,
     const analytical::Eq5Params& eval);
 
+/// Score a feasible routing the way evaluate_design does: Eq. 5, the
+/// overload penalty when the objective carries a battery budget, and the
+/// routes' active nodes (ascending) as the design. Overwrites every field
+/// of `out`, reusing its buffers.
+void score_routes(const graph::Graph& g,
+                  std::span<const analytical::RoutedDemand> routes,
+                  const DesignObjective& objective,
+                  analytical::Eq5Scratch& eq5, CandidateDesign& out);
+
 /// Score the design implied by `nodes`: route every demand along its
 /// shortest path within the set, drop nodes no route uses, evaluate Eq. 5
 /// and (when the objective carries a battery budget) the overload penalty.
@@ -109,11 +118,11 @@ struct RouteCache {
   }
 };
 
-/// Everything one search call reuses across its candidate evaluations: the
-/// routing workspace, the Eq. 5 buffers, and the opt.eval.calls counter.
-/// local_search, simulated_annealing and warm_start_search each own one
-/// per call and publish() it once at the end; the overloads without one
-/// use a temporary.
+/// Everything a caller scoring many candidates reuses across evaluations:
+/// the routing workspace, the Eq. 5 buffers, and the opt.eval.calls
+/// counter. warm_start_search owns one per call and publish()es it once at
+/// the end; the overloads without one use a temporary. (The search layers
+/// score their one-node moves with opt::MoveEvaluator instead.)
 struct EvalWorkspace {
   core::RoutingWorkspace routing;
   analytical::Eq5Scratch eq5;

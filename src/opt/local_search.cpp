@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/counters.hpp"
+#include "opt/move_eval.hpp"
 #include "opt/moves.hpp"
 
 namespace eend::opt {
@@ -21,50 +22,44 @@ CandidateDesign local_search(const core::NetworkDesignProblem& problem,
 
   CandidateDesign cur = start;
   LocalSearchStats local;
-  EvalWorkspace ws;
+  MoveEvaluator eval(problem, objective);
   MoveScratch moves(g);
-  const auto evaluate = [&](const std::vector<graph::NodeId>& cand) {
-    return evaluate_design(problem, cand, objective, nullptr, nullptr, ws);
-  };
+  constexpr graph::NodeId kNone = graph::kInvalidNode;
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
     moves.set_current(cur.nodes);
+    eval.reset(cur.nodes);
 
     CandidateDesign best;  // infeasible until a candidate beats nothing
-    const auto consider = [&](CandidateDesign cand) {
+    const auto consider = [&](graph::NodeId removed, graph::NodeId added) {
       ++local.evaluations;
+      const CandidateDesign& cand = eval.evaluate(removed, added);
       if (!cand.feasible) return;
-      if (!best.feasible || cand.cost() < best.cost()) best = std::move(cand);
+      if (!best.feasible || cand.cost() < best.cost()) best = cand;
     };
 
     // Relay removal: drop each non-endpoint active node.
     for (graph::NodeId v : cur.nodes) {
       if (is_terminal(v)) continue;
-      consider(evaluate(without(cur.nodes, v)));
+      consider(v, kNone);
     }
 
     // Steiner insertion: open each inactive node adjacent to the design.
-    for (graph::NodeId u : moves.inactive_neighbors(cur.nodes)) {
-      std::vector<graph::NodeId> cand = cur.nodes;
-      cand.push_back(u);
-      consider(evaluate(cand));
-    }
+    for (graph::NodeId u : moves.inactive_neighbors(cur.nodes))
+      consider(kNone, u);
 
     // Relay exchange (reroute): close relay v, open an inactive neighbor u
     // in the same move.
     for (graph::NodeId v : cur.nodes) {
       if (is_terminal(v)) continue;
-      for (graph::NodeId u : moves.inactive_neighbors({&v, 1})) {
-        std::vector<graph::NodeId> cand = without(cur.nodes, v);
-        cand.push_back(u);
-        consider(evaluate(cand));
-      }
+      for (graph::NodeId u : moves.inactive_neighbors({&v, 1}))
+        consider(v, u);
     }
 
     if (!best.feasible || !(best.cost() < cur.cost())) break;
     cur = std::move(best);
     ++local.passes;
   }
-  ws.publish();
+  eval.publish();
   if (stats) *stats = local;
   obs::count("opt.ls.calls");
   obs::count("opt.ls.evaluations", local.evaluations);

@@ -5,6 +5,7 @@
 
 #include "graph/shortest_path.hpp"
 #include "obs/counters.hpp"
+#include "opt/move_eval.hpp"
 #include "opt/moves.hpp"
 #include "opt/portfolio.hpp"
 #include "presolve/presolve.hpp"
@@ -92,56 +93,59 @@ WarmStartResult warm_start_search(
 
   // ---- stage 2: localized steepest descent around the perturbation.
   // Same move set as opt/local_search.hpp, but removal / insertion probes
-  // only fire inside the repair region, and every candidate evaluation
-  // goes through the RouteCache fast path against the incumbent's routes.
+  // only fire inside the repair region, and every candidate is scored
+  // incrementally against the incumbent (opt/move_eval.hpp).
   if (cur.feasible && !touched_nodes.empty()) {
     const std::vector<char> region = repair_region(g, touched_nodes);
     obs::observe("opt.warm.repair_region_size",
                  static_cast<std::uint64_t>(
                      std::count(region.begin(), region.end(), char{1})));
     MoveScratch moves(g);
+    MoveEvaluator evaluator(problem, options.objective);
+    constexpr graph::NodeId kNone = graph::kInvalidNode;
     for (std::size_t pass = 0; pass < options.max_repair_passes; ++pass) {
       moves.set_current(cur.nodes);
+      evaluator.reset(cur.nodes);
       CandidateDesign best;
-      std::vector<graph::NodeId> best_allowed;
-      const auto consider = [&](std::vector<graph::NodeId> cand) {
-        CandidateDesign c = eval(cand, &cur_cache, nullptr);
+      graph::NodeId best_removed = kNone, best_added = kNone;
+      const auto consider = [&](graph::NodeId removed, graph::NodeId added) {
+        ++out.evaluations;
+        const CandidateDesign& c = evaluator.evaluate(removed, added);
         if (!c.feasible) return;
         if (!best.feasible || c.cost() < best.cost()) {
-          best = std::move(c);
-          best_allowed = std::move(cand);
+          best = c;
+          best_removed = removed;
+          best_added = added;
         }
       };
 
       for (graph::NodeId v : cur.nodes) {
         if (!region[v] || is_terminal(v)) continue;
-        consider(without(cur.nodes, v));
+        consider(v, kNone);
       }
 
       for (graph::NodeId u : moves.inactive_neighbors(
-               cur.nodes, [&](graph::NodeId x) { return region[x] != 0; })) {
-        std::vector<graph::NodeId> cand = cur.nodes;
-        cand.push_back(u);
-        consider(std::move(cand));
-      }
+               cur.nodes, [&](graph::NodeId x) { return region[x] != 0; }))
+        consider(kNone, u);
 
       for (graph::NodeId v : cur.nodes) {
         if (!region[v] || is_terminal(v)) continue;
-        for (graph::NodeId u : moves.inactive_neighbors({&v, 1})) {
-          std::vector<graph::NodeId> cand = without(cur.nodes, v);
-          cand.push_back(u);
-          consider(std::move(cand));
-        }
+        for (graph::NodeId u : moves.inactive_neighbors({&v, 1}))
+          consider(v, u);
       }
 
       if (!best.feasible || !(best.cost() < cur.cost())) break;
-      // Re-evaluate the winner with a cache fill so the next pass (and the
-      // final route diff) reuse its routes — one extra evaluation per
-      // accepted move, all of it cache-accelerated.
+      // Re-evaluate the winner with a cache fill, so the next winner's
+      // re-evaluation and the final route diff reuse its routes — one
+      // extra evaluation per accepted move.
+      std::vector<graph::NodeId> best_allowed =
+          best_removed == kNone ? cur.nodes : without(cur.nodes, best_removed);
+      if (best_added != kNone) best_allowed.push_back(best_added);
       RouteCache next_cache;
       cur = eval(best_allowed, &cur_cache, &next_cache);
       cur_cache = std::move(next_cache);
     }
+    evaluator.publish();
   }
 
   // ---- stage 3: quality gate. Reference = Klein-Ravi on the perturbed

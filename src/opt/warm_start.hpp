@@ -10,9 +10,9 @@
 //   2. *Localized descent*: the removal / insertion / exchange moves of
 //      opt/local_search.hpp, but restricted to a repair region grown from
 //      the perturbation's touched nodes (two neighbor rings) — the move
-//      budget scales with the perturbation, not the instance. Removal
-//      candidates re-evaluate through the RouteCache fast path, so demands
-//      whose route avoids the probed node skip Dijkstra entirely.
+//      budget scales with the perturbation, not the instance. Candidates
+//      are scored by opt::MoveEvaluator, so demands whose route the move
+//      provably leaves alone skip Dijkstra entirely.
 //   3. *Fallback*: the repaired design is referenced against a fresh
 //      Klein-Ravi construction (the always-available one-shot baseline).
 //      If its cost exceeds (1 + fallback_pct/100) x the reference — repair

@@ -2,9 +2,11 @@
 // router, the edge-carrying routes and the flat Eq. 5 against a verbatim
 // copy of the code they replaced — a masked, early-exit Dijkstra over the
 // whole graph per demand, and an Eq. 5 summed through std::set/std::map
-// with every hop re-found by has_edge/edge_weight_between. Every figure is
-// compared with ==, not within a tolerance: the kernel must be
-// bit-identical on the instance families of KleinRaviDifferential.*.
+// with every hop re-found by has_edge/edge_weight_between — and the two
+// incremental evaluators, opt::MoveEvaluator and the RouteCache, against
+// evaluation from scratch. Every figure is compared with ==, not within a
+// tolerance: the kernel must be bit-identical on the instance families of
+// KleinRaviDifferential.*.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,13 +15,16 @@
 #include <optional>
 #include <queue>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/design_problem.hpp"
+#include "obs/counters.hpp"
 #include "opt/design_heuristic.hpp"
 #include "opt/design_instance.hpp"
+#include "opt/move_eval.hpp"
 #include "util/rng.hpp"
 
 namespace eend {
@@ -202,10 +207,31 @@ std::string describe(const std::vector<NodeId>& nodes) {
   return os.str();
 }
 
-void check_problem(const core::NetworkDesignProblem& p, Rng& rng,
-                   int subsets, Tally& tally, const std::string& label) {
+bool same_design(const opt::CandidateDesign& a,
+                 const opt::CandidateDesign& b) {
+  return a.feasible == b.feasible && a.nodes == b.nodes &&
+         a.score.idle == b.score.idle && a.score.data == b.score.data &&
+         a.score.active_nodes == b.score.active_nodes &&
+         a.score.relay_nodes == b.score.relay_nodes &&
+         a.max_node_load == b.max_node_load &&
+         a.lifetime_penalty == b.lifetime_penalty && a.cost() == b.cost();
+}
+
+bool same_routes(std::span<const RoutedDemand> a,
+                 std::span<const RoutedDemand> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].path != b[i].path || a[i].edges != b[i].edges ||
+        a[i].packets != b[i].packets)
+      return false;
+  return true;
+}
+
+/// Plain Eq. 5, a reweighted Eq. 5 that charges endpoint idle, and a
+/// lifetime objective whose budget leaves some nodes overloaded.
+std::vector<opt::DesignObjective> objectives_for(
+    const core::NetworkDesignProblem& p) {
   const Graph& g = p.graph();
-  const std::vector<NodeId> terms = p.terminals();
   std::vector<opt::DesignObjective> objectives(3);
   objectives[1].eval.t_idle = 30.0;
   objectives[1].eval.t_data_per_packet = 0.01;
@@ -220,7 +246,14 @@ void check_problem(const core::NetworkDesignProblem& p, Rng& rng,
   }
   if (!(objectives[2].battery_budget_j > 0.0))
     objectives[2].battery_budget_j = 1.0;
+  return objectives;
+}
 
+void check_problem(const core::NetworkDesignProblem& p, Rng& rng,
+                   int subsets, Tally& tally, const std::string& label) {
+  const Graph& g = p.graph();
+  const std::vector<NodeId> terms = p.terminals();
+  const std::vector<opt::DesignObjective> objectives = objectives_for(p);
   opt::EvalWorkspace ws;
   for (int s = 0; s < subsets; ++s) {
     // Empty = every node; otherwise a random subset in random order, with
@@ -265,14 +298,7 @@ void check_problem(const core::NetworkDesignProblem& p, Rng& rng,
         const opt::CandidateDesign a = ref_evaluate(p, nodes, obj);
         const opt::CandidateDesign b =
             opt::evaluate_design(p, nodes, obj, nullptr, nullptr, ws);
-        same &= a.feasible == b.feasible && a.nodes == b.nodes &&
-                a.score.idle == b.score.idle &&
-                a.score.data == b.score.data &&
-                a.score.active_nodes == b.score.active_nodes &&
-                a.score.relay_nodes == b.score.relay_nodes &&
-                a.max_node_load == b.max_node_load &&
-                a.lifetime_penalty == b.lifetime_penalty &&
-                a.cost() == b.cost();
+        same &= same_design(a, b);
       }
       if (want) {
         const Eq5Breakdown e = analytical::evaluate_eq5(g, *want, obj.eval);
@@ -357,21 +383,53 @@ TEST(EvalDifferential, MatchesReferenceOnDesignInstances) {
   EXPECT_LT(tally.infeasible, tally.subsets);
 }
 
+/// Edge weights in {1, 2, 3} and node weights in {0, 1, 2}, parallel edges
+/// included: many equal-cost paths, so the (distance, id) pop order and
+/// strict-< relaxation decide which one each demand takes.
+core::NetworkDesignProblem tie_heavy_problem(Rng& rng) {
+  const std::size_t n = 6 + rng.next_below(35);
+  Graph g = random_connected_graph(rng, n, n);
+  for (NodeId v = 0; v < n; ++v)
+    g.set_node_weight(v, static_cast<double>(rng.next_below(3)));
+  core::NetworkDesignProblem p(std::move(g));
+  std::vector<NodeId> pool(n);
+  for (NodeId v = 0; v < n; ++v) pool[v] = v;
+  add_random_demands(p, rng, pool, 1 + rng.next_below(8));
+  return p;
+}
+
+/// Two or three separate blocks: demands inside a block route, demands
+/// across blocks fail.
+core::NetworkDesignProblem disconnected_problem(Rng& rng) {
+  const std::size_t blocks = 2 + rng.next_below(2);
+  Graph g;
+  std::vector<std::vector<NodeId>> members(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t n = 4 + rng.next_below(12);
+    const Graph part = random_connected_graph(rng, n, n / 2);
+    const auto base = static_cast<NodeId>(g.node_count());
+    for (NodeId v = 0; v < n; ++v) {
+      g.add_node(static_cast<double>(1 + rng.next_below(4)));
+      members[b].push_back(base + v);
+    }
+    for (const graph::Edge& e : part.edges())
+      g.add_edge(base + e.u, base + e.v, e.weight);
+  }
+  core::NetworkDesignProblem p(std::move(g));
+  for (int k = 0; k < 4; ++k)
+    add_random_demands(p, rng, members[rng.next_below(blocks)], 1);
+  std::vector<NodeId> everyone;
+  for (const auto& m : members)
+    everyone.insert(everyone.end(), m.begin(), m.end());
+  add_random_demands(p, rng, everyone, 2);
+  return p;
+}
+
 TEST(EvalDifferential, MatchesReferenceOnTieHeavyGraphs) {
-  // Edge weights in {1, 2, 3} and node weights in {0, 1, 2}, parallel
-  // edges included: many equal-cost paths, so the (distance, id) pop order
-  // and strict-< relaxation decide which one each demand takes.
   Rng rng(2024);
   Tally tally;
   for (int trial = 0; trial < 150; ++trial) {
-    const std::size_t n = 6 + rng.next_below(35);
-    Graph g = random_connected_graph(rng, n, n);
-    for (NodeId v = 0; v < n; ++v)
-      g.set_node_weight(v, static_cast<double>(rng.next_below(3)));
-    core::NetworkDesignProblem p(std::move(g));
-    std::vector<NodeId> pool(n);
-    for (NodeId v = 0; v < n; ++v) pool[v] = v;
-    add_random_demands(p, rng, pool, 1 + rng.next_below(8));
+    const core::NetworkDesignProblem p = tie_heavy_problem(rng);
     check_problem(p, rng, 8, tally, "trial " + std::to_string(trial));
   }
   EXPECT_EQ(tally.mismatches, 0) << "of " << tally.subsets << " subsets";
@@ -379,36 +437,207 @@ TEST(EvalDifferential, MatchesReferenceOnTieHeavyGraphs) {
 }
 
 TEST(EvalDifferential, MatchesReferenceWithDisconnectedTerminals) {
-  // Two or three separate blocks: demands inside a block route, demands
-  // across blocks fail, and the first failing demand must be the same one.
+  // The first failing demand must be the same one on both sides.
   Rng rng(77);
   Tally tally;
   for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t blocks = 2 + rng.next_below(2);
-    Graph g;
-    std::vector<std::vector<NodeId>> members(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t n = 4 + rng.next_below(12);
-      const Graph part = random_connected_graph(rng, n, n / 2);
-      const auto base = static_cast<NodeId>(g.node_count());
-      for (NodeId v = 0; v < n; ++v) {
-        g.add_node(static_cast<double>(1 + rng.next_below(4)));
-        members[b].push_back(base + v);
-      }
-      for (const graph::Edge& e : part.edges())
-        g.add_edge(base + e.u, base + e.v, e.weight);
-    }
-    core::NetworkDesignProblem p(std::move(g));
-    for (int k = 0; k < 4; ++k)
-      add_random_demands(p, rng, members[rng.next_below(blocks)], 1);
-    std::vector<NodeId> everyone;
-    for (const auto& m : members)
-      everyone.insert(everyone.end(), m.begin(), m.end());
-    add_random_demands(p, rng, everyone, 2);
+    const core::NetworkDesignProblem p = disconnected_problem(rng);
     check_problem(p, rng, 8, tally, "trial " + std::to_string(trial));
   }
   EXPECT_EQ(tally.mismatches, 0) << "of " << tally.subsets << " subsets";
   EXPECT_GT(tally.infeasible, 0);
+}
+
+TEST(EvalDifferential, RouteCacheReuseIsExactUnderTies) {
+  // The tie-heavy family, where equal-cost paths are the rule: a cached
+  // route that avoids every node a subset drops is reused verbatim, and
+  // must be the very route a fresh search inside the subset takes.
+  Rng rng(4242);
+  core::RoutingWorkspace ws;
+  int subsets = 0, mismatches = 0;
+  long reused = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const core::NetworkDesignProblem p = tie_heavy_problem(rng);
+    const std::size_t n = p.graph().node_count();
+    for (int c = 0; c < 4; ++c) {
+      std::vector<NodeId> cached_nodes = p.terminals();
+      const double keep = rng.uniform(0.4, 1.0);
+      for (NodeId v = 0; v < n; ++v)
+        if (rng.bernoulli(keep)) cached_nodes.push_back(v);
+      std::size_t failed = 0;
+      const auto cached = ref_route(p, cached_nodes, &failed);
+      if (!cached) continue;
+      for (int k = 0; k < 6; ++k) {
+        const double drop = rng.uniform(0.02, 0.3);
+        std::vector<NodeId> nodes;
+        for (NodeId v : cached_nodes)
+          if (!rng.bernoulli(drop)) nodes.push_back(v);
+        if (nodes.empty()) continue;
+        ++subsets;
+        std::size_t want_failed = 0, got_failed = 0;
+        const auto want = ref_route(p, nodes, &want_failed);
+        const bool got = p.route_in_subgraph(ws, nodes, &got_failed,
+                                             &cached_nodes, &*cached);
+        bool same = got == want.has_value();
+        if (want && got) {
+          same &= same_routes(ws.routes, *want);
+          for (const RoutedDemand& r : *cached)
+            reused += std::all_of(r.path.begin(), r.path.end(), [&](NodeId v) {
+              return std::find(nodes.begin(), nodes.end(), v) != nodes.end();
+            });
+        } else if (!want && !got) {
+          same &= got_failed == want_failed;
+        }
+        if (!same) {
+          ++mismatches;
+          ADD_FAILURE() << "trial " << trial << " subset " << describe(nodes)
+                        << " of " << describe(cached_nodes);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << subsets << " subsets";
+  EXPECT_GT(reused, 1000);
+}
+
+// ---------------------------------------------------------------------
+// Incremental move evaluation against full evaluation: every removal,
+// insertion and exchange of seeded incumbents, in random order, scored by
+// an opt::MoveEvaluator per objective (reused across incumbents, so stale
+// state would show) and by evaluate_design from scratch.
+
+struct MoveTally {
+  int incumbents = 0;
+  long moves = 0;
+  long infeasible = 0;
+  long mismatches = 0;
+};
+
+/// Up to `count` random allowed sets that route every demand, each both as
+/// drawn (unused nodes included) and as evaluate_design normalizes it.
+std::vector<std::vector<NodeId>> seeded_designs(
+    const core::NetworkDesignProblem& p, Rng& rng, int count) {
+  const Graph& g = p.graph();
+  std::vector<std::vector<NodeId>> out;
+  for (int tries = 0; tries < 20 * count && out.size() < 2u * count;
+       ++tries) {
+    std::vector<NodeId> nodes = p.terminals();
+    const double keep = rng.uniform(0.05, 0.4);
+    for (NodeId v = 0; v < g.node_count(); ++v)
+      if (rng.bernoulli(keep)) nodes.push_back(v);
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    const opt::CandidateDesign d =
+        opt::evaluate_design(p, nodes, opt::DesignObjective{});
+    if (!d.feasible) continue;
+    out.push_back(nodes);
+    out.push_back(d.nodes);
+  }
+  return out;
+}
+
+void check_moves(const core::NetworkDesignProblem& p, Rng& rng, int designs,
+                 MoveTally& tally, const std::string& label) {
+  constexpr NodeId kNone = graph::kInvalidNode;
+  const std::size_t n = p.graph().node_count();
+  const std::vector<opt::DesignObjective> objectives = objectives_for(p);
+  std::vector<opt::MoveEvaluator> evals;
+  evals.reserve(objectives.size());
+  for (const opt::DesignObjective& obj : objectives) evals.emplace_back(p, obj);
+  opt::EvalWorkspace full;
+  for (const std::vector<NodeId>& s : seeded_designs(p, rng, designs)) {
+    ++tally.incumbents;
+    std::vector<char> in_s(n, 0);
+    for (NodeId v : s) in_s[v] = 1;
+    std::vector<std::pair<NodeId, NodeId>> moves;  // (removed, added)
+    for (NodeId v : s) moves.emplace_back(v, kNone);
+    for (NodeId u = 0; u < n; ++u)
+      if (!in_s[u]) {
+        moves.emplace_back(kNone, u);
+        for (NodeId v : s) moves.emplace_back(v, u);
+      }
+    for (std::size_t i = moves.size(); i > 1; --i)
+      std::swap(moves[i - 1], moves[rng.next_below(i)]);
+    for (std::size_t k = 0; k < objectives.size(); ++k) {
+      evals[k].reset(s);
+      for (const auto& [removed, added] : moves) {
+        std::vector<NodeId> cand;
+        for (NodeId v : s)
+          if (v != removed) cand.push_back(v);
+        if (added != kNone) cand.push_back(added);
+        const opt::CandidateDesign want = opt::evaluate_design(
+            p, cand, objectives[k], nullptr, nullptr, full);
+        const opt::CandidateDesign& got = evals[k].evaluate(removed, added);
+        ++tally.moves;
+        bool same = same_design(got, want);
+        if (want.feasible)
+          same &= same_routes(evals[k].routes(), full.routing.routes);
+        else
+          ++tally.infeasible;
+        if (!same) {
+          ++tally.mismatches;
+          ADD_FAILURE() << label << " objective " << k << " incumbent "
+                        << describe(s) << " removed " << removed
+                        << " added " << added;
+        }
+      }
+    }
+  }
+  for (opt::MoveEvaluator& e : evals) e.publish();
+}
+
+/// Counts the move evaluators published: kept routes and searches run.
+struct PublishedWork {
+  obs::CounterRegistry registry;
+  obs::ScopedRegistry scope{&registry};
+  std::uint64_t get(const std::string& name) const {
+    const auto snap = registry.snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  }
+};
+
+TEST(EvalDifferential, IncrementalMovesMatchFullEvaluation) {
+  PublishedWork work;
+  MoveTally tally;
+  // Design instances at n = 20 and 50, and one at the benchmark's scale
+  // (n = 100, 8 demands).
+  std::vector<std::pair<std::size_t, std::size_t>> sizes = {{100, 8}};
+  for (std::size_t n : {20, 50})
+    for (std::size_t demands : {2, 7, 16}) sizes.emplace_back(n, demands);
+  for (const auto& [n, demands] : sizes) {
+    opt::DesignInstanceSpec spec;
+    spec.node_count = n;
+    spec.demand_count = demands;
+    spec.seed = 300 * n + demands;
+    spec.demand_weights = {1.0, 0.1, 0.7, 1.3};
+    const auto inst = opt::make_design_instance(spec);
+    Rng rng(spec.seed);
+    check_moves(inst.problem, rng, 1, tally, "n=" + std::to_string(n));
+  }
+  Rng rng(2025);
+  for (int trial = 0; trial < 50; ++trial)
+    check_moves(tie_heavy_problem(rng), rng, 2, tally,
+                "tie-heavy trial " + std::to_string(trial));
+  for (int trial = 0; trial < 30; ++trial) {
+    // Keep the demands that route on the whole graph: the design then
+    // spans disconnected blocks, and moves that cut a block fail.
+    core::NetworkDesignProblem p = disconnected_problem(rng);
+    std::vector<graph::Demand> routable;
+    for (const graph::Demand& d : p.demands())
+      if (graph::dijkstra(p.graph(), d.source).reachable(d.destination))
+        routable.push_back(d);
+    p.set_demands(routable);
+    check_moves(p, rng, 2, tally, "disconnected trial " + std::to_string(trial));
+  }
+  EXPECT_EQ(tally.mismatches, 0) << "of " << tally.moves << " moves";
+  EXPECT_GT(tally.incumbents, 150);
+  EXPECT_GT(tally.infeasible, 0);
+  EXPECT_LT(tally.infeasible, tally.moves);
+  // The rules did skip searches (the count is 0 with telemetry off).
+  if (obs::kEnabled) {
+    EXPECT_GT(work.get("opt.eval.routes_reused"), 0u);
+  }
 }
 
 }  // namespace

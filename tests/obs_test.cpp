@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -197,21 +198,77 @@ TEST(ObsEngine, RoutingWorkCounterIsByteIdenticalAcrossJobs) {
 }
 
 TEST(ObsEngine, DesignWorkCountersAreByteIdenticalAcrossJobs) {
-  // graph.dijkstra.runs / .settled and opt.eval.calls are the exact
-  // denominators of design-search work: searches run, nodes settled and
-  // candidates scored. The portfolio manifest fans its starts out over the
-  // pool and the churn manifest runs warm repair, so both paths publish.
+  // graph.dijkstra.runs / .settled, opt.eval.calls, opt.eval.routes_reused
+  // and steiner.kr.centers_scanned / .settled are the exact denominators of
+  // design-search work: searches run, nodes settled, candidates scored,
+  // routes a move kept, and Klein-Ravi's spider searches. The portfolio
+  // manifest fans its starts out over the pool and the churn manifest runs
+  // warm repair, so both paths publish.
   if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
   for (const char* manifest : {"design_portfolio", "design_churn"}) {
     const std::string serial = run_manifest_counters(manifest, 1);
     for (const char* name :
-         {"graph.dijkstra.runs", "graph.dijkstra.settled", "opt.eval.calls"})
+         {"graph.dijkstra.runs", "graph.dijkstra.settled", "opt.eval.calls",
+          "opt.eval.routes_reused", "steiner.kr.centers_scanned",
+          "steiner.kr.settled"})
       EXPECT_GT(counter_value(serial, name), 0) << manifest << " " << name;
     EXPECT_GE(counter_value(serial, "graph.dijkstra.settled"),
               counter_value(serial, "graph.dijkstra.runs"))
         << manifest;
+    EXPECT_GE(counter_value(serial, "steiner.kr.settled"),
+              counter_value(serial, "steiner.kr.centers_scanned"))
+        << manifest;
     EXPECT_EQ(serial, run_manifest_counters(manifest, 8)) << manifest;
   }
+}
+
+// --- Work budget -----------------------------------------------------------
+
+/// Sum of counter `name` over every experiment of counters JSONL.
+std::uint64_t counter_total(const std::string& jsonl, const std::string& name) {
+  std::uint64_t total = 0;
+  std::istringstream in(jsonl);
+  for (std::string line; std::getline(in, line);) {
+    const json::Value row = json::parse(line);
+    const json::Value* counter = row.find("counter");
+    if (counter && counter->as_string() == name)
+      total += static_cast<std::uint64_t>(row.find("value")->as_number());
+  }
+  return total;
+}
+
+TEST(ObsEngine, DesignWorkStaysWithinBudget) {
+  // tests/golden/work_budget.jsonl bounds the design work of the quick
+  // portfolio and churn manifests: a "max" on the routing searches,
+  // evaluations and Klein-Ravi scans they run, a "min" on the routes
+  // incremental move evaluation keeps. The counts are exact on any
+  // machine, so a change that does more work — scoring every move from
+  // scratch again, say — fails here, not only in a timing. Lowering a
+  // "max" or raising a "min" is free; loosening a bound needs a stated
+  // reason in CHANGES.md.
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
+  std::ifstream in(EEND_GOLDEN_DIR "/work_budget.jsonl");
+  ASSERT_TRUE(in) << "missing work_budget.jsonl";
+  std::map<std::string, std::string> counters;  // manifest -> JSONL
+  int rows = 0;
+  for (std::string line; std::getline(in, line);) {
+    const json::Value row = json::parse(line);
+    const std::string manifest = row.find("manifest")->as_string();
+    const std::string name = row.find("counter")->as_string();
+    std::string& jsonl = counters[manifest];
+    if (jsonl.empty()) jsonl = run_manifest_counters(manifest, 2);
+    const std::uint64_t value = counter_total(jsonl, name);
+    if (const json::Value* max = row.find("max")) {
+      EXPECT_LE(value, static_cast<std::uint64_t>(max->as_number()))
+          << manifest << " " << name;
+    }
+    if (const json::Value* min = row.find("min")) {
+      EXPECT_GE(value, static_cast<std::uint64_t>(min->as_number()))
+          << manifest << " " << name;
+    }
+    ++rows;
+  }
+  EXPECT_EQ(rows, 10);
 }
 
 // --- Chrome trace emission ------------------------------------------------
