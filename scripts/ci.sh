@@ -85,16 +85,6 @@ run_manifest table2_density                          # density sweep (Table 2)
 run bench_ablation_design_knobs --quick --quiet --jobs=0   # ablations
 run bench_ext_lifetime --quick --quiet --jobs=0      # lifetime extension
 
-echo "== design search: portfolio bench (JSON artifact) =="
-# The bench itself asserts (a) presolve on/off produces identical results
-# on the dense family and (b) the sparse shrink family drops >= 2% of its
-# nodes (measured 4-5%; half that is the regression floor).
-./build/bench/bench_design_portfolio --quick --quiet \
-  --assert-min-shrink-pct=2 \
-  --json=BENCH_design_portfolio.json > /dev/null
-test -s BENCH_design_portfolio.json
-echo "OK: wrote BENCH_design_portfolio.json (presolve shrink floor held)"
-
 echo "== design search: quick design_portfolio cell, jobs=1 vs jobs=8 =="
 ./build/tools/eend_run --manifest examples/manifests/design_portfolio.json \
   --list | grep -q "portfolio_scaling  \[design\]"
@@ -108,12 +98,6 @@ cmp "$OUT/dp_j1.csv" "$OUT/dp_j8.csv"
 cmp "$OUT/dp_j1.jsonl" "$OUT/dp_j8.jsonl"
 echo "OK: design kind byte-identical for jobs=1 and jobs=8"
 
-echo "== design replay: simulated-vs-analytic bench (JSON artifact) =="
-./build/bench/bench_design_replay --quick --quiet \
-  --json=BENCH_design_replay.json > /dev/null
-test -s BENCH_design_replay.json
-echo "OK: wrote BENCH_design_replay.json"
-
 echo "== design replay: quick design_replay cell, jobs=1 vs jobs=8 =="
 ./build/tools/eend_run --manifest examples/manifests/design_replay.json \
   --list | grep -q "replay_scaling  \[replay\]"
@@ -126,18 +110,6 @@ cmp "$OUT/dr_j1.out" "$OUT/dr_j8.out"
 cmp "$OUT/dr_j1.csv" "$OUT/dr_j8.csv"
 cmp "$OUT/dr_j1.jsonl" "$OUT/dr_j8.jsonl"
 echo "OK: replay kind byte-identical for jobs=1 and jobs=8"
-
-echo "== design churn: warm-start serving-loop bench (JSON artifact) =="
-# Self-asserting floors: the warm repair must beat the from-scratch
-# portfolio by >= 3x summed over perturbed epochs (measured 9.6x at n=100
-# and 13.5x at n=50 in --quick mode), stay within 5% of its score at every
-# epoch, and presolve on/off must produce identical designs (asserted
-# inside the bench).
-./build/bench/bench_design_churn --quick --quiet \
-  --assert-min-warm-speedup=3.0 --assert-max-gap-pct=5.0 \
-  --json=BENCH_design_churn.json > /dev/null
-test -s BENCH_design_churn.json
-echo "OK: wrote BENCH_design_churn.json (warm speedup/gap floors held)"
 
 echo "== design churn: quick design_churn cell, jobs=1 vs jobs=8 =="
 # The churn leg also exercises the telemetry layer: --counters must be

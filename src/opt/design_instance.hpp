@@ -1,7 +1,7 @@
 // Random design-problem instances at the paper's §5.2.2 density.
 //
-// The instance family behind the `design` manifest kind and
-// bench_design_portfolio: N nodes placed uniformly in a square field whose
+// The instance family behind the `design` manifest kind and perfbench's
+// design_cold workload: N nodes placed uniformly in a square field whose
 // side follows the huge_field density law (side = 1300 · sqrt(N / 200), so
 // per-node neighborhoods match the 200-node large network at every scale),
 // re-drawn until connected at max power — the same deterministic placement

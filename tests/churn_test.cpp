@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 #include <sstream>
 
 #include "churn/trace.hpp"
+#include "obs/counters.hpp"
 #include "opt/design_instance.hpp"
 #include "opt/portfolio.hpp"
 #include "opt/warm_start.hpp"
@@ -294,6 +296,87 @@ TEST(WarmStart, RepairsPerturbationWithinFallbackBound) {
     EXPECT_LE(wr.design.cost(), kr.cost() * 1.05 + 1e-9)
         << "epoch " << epoch;
     serving = wr.design;
+  }
+}
+
+// The serving loop's latency story as exact work counts. On the busy trace
+// at n = 50 and 100 (8 demands, 8 epochs, 8 starts, 300 anneal steps), the
+// from-scratch portfolio, summed over the perturbed epochs, must run at
+// least kMinRatio x the routing searches the warm repair runs. Measured:
+// 14.2x at n=50 and 13.3x at n=100 (opt.eval.calls: 17.0x and 12.8x); the
+// floor is under half the lower one. The counts are exact on any machine.
+TEST(WarmStart, RepairDoesAFractionOfColdWork) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled off";
+  constexpr double kMinRatio = 6.5;
+  for (const std::size_t n : {std::size_t{50}, std::size_t{100}}) {
+    opt::DesignInstanceSpec spec;
+    spec.node_count = n;
+    spec.demand_count = 8;
+    spec.seed = 1;
+    const auto inst = opt::make_design_instance(spec);
+    const opt::DesignObjective objective;
+
+    const auto cold_solve = [&](const core::NetworkDesignProblem& problem) {
+      const graph::SteinerTree kr = problem.solve_node_weighted();
+      opt::PortfolioOptions po;
+      po.objective = objective;
+      po.starts = 8;
+      po.anneal.iterations = 300;
+      po.seed = spec.seed;
+      po.klein_ravi_tree = &kr;
+      return opt::design_portfolio(problem, po).best;
+    };
+    opt::RouteCache serving_routes;
+    opt::CandidateDesign serving =
+        opt::evaluate_design(inst.problem, cold_solve(inst.problem).nodes,
+                             objective, nullptr, &serving_routes);
+    ASSERT_TRUE(serving.feasible) << "n=" << n;
+
+    ChurnState state(inst, spec);
+    TraceSpec trace = busy_trace(spec.seed);
+    trace.epochs = 8;
+    obs::CounterRegistry warm_work, cold_work;
+    for (std::size_t epoch = 1; epoch < trace.epochs; ++epoch) {
+      const EpochDelta delta = state.advance(trace, epoch);
+      const auto failed = state.failed_nodes();
+      std::erase_if(serving.nodes, [&](graph::NodeId v) {
+        return std::binary_search(failed.begin(), failed.end(), v);
+      });
+      if (delta.topology_changed) serving_routes.clear();
+
+      opt::WarmStartOptions wo;
+      wo.objective = objective;
+      opt::RouteCache next_routes;
+      opt::WarmStartResult wr;
+      {
+        const obs::ScopedRegistry scope(&warm_work);
+        wr = opt::warm_start_search(
+            state.problem(), serving, delta.touched_nodes, wo, spec.seed,
+            serving_routes.empty() ? nullptr : &serving_routes,
+            &next_routes);
+      }
+      {
+        const obs::ScopedRegistry scope(&cold_work);
+        ASSERT_TRUE(cold_solve(state.problem()).feasible)
+            << "n=" << n << " epoch " << epoch;
+      }
+      ASSERT_TRUE(wr.design.feasible) << "n=" << n << " epoch " << epoch;
+      serving = wr.design;
+      serving_routes = std::move(next_routes);
+    }
+
+    auto warm = warm_work.snapshot().counters;
+    auto cold = cold_work.snapshot().counters;
+    ASSERT_GT(warm["graph.dijkstra.runs"], 0u) << "n=" << n;
+    const double ratio =
+        static_cast<double>(cold["graph.dijkstra.runs"]) /
+        static_cast<double>(warm["graph.dijkstra.runs"]);
+    std::cout << "n=" << n << ": graph.dijkstra.runs cold "
+              << cold["graph.dijkstra.runs"] << " / warm "
+              << warm["graph.dijkstra.runs"] << " = " << ratio
+              << "x; opt.eval.calls cold " << cold["opt.eval.calls"]
+              << " / warm " << warm["opt.eval.calls"] << "\n";
+    EXPECT_GE(ratio, kMinRatio) << "n=" << n;
   }
 }
 

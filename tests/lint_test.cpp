@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -425,4 +428,45 @@ TEST(LintReport, FindingsAreSorted) {
   EXPECT_EQ(fs[1].file, "a.cpp");
   EXPECT_EQ(fs[1].line, 2);
   EXPECT_EQ(fs[2].file, "z.cpp");
+}
+
+// ---------------------------------------------------------- allowances ---
+
+#ifndef EEND_SOURCE_DIR
+#error "EEND_SOURCE_DIR must point at src/"
+#endif
+
+// Every hashed-order allowance in the library is pinned here: the four DSDV
+// whole-table loops over order_ (kept until the DSDVH golden re-pin) and
+// ReactiveRouting::purge_link's erase-only cache sweep, plus the syntax
+// example in the linter's own header. A new allow(unordered-iter) fails
+// this test until it is reviewed and added to the table.
+TEST(LintTree, UnorderedIterAllowancesArePinned) {
+  namespace fs = std::filesystem;
+  const std::string tag = "allow(unordered-iter)";
+  std::map<std::string, int> found;  // path under src/ -> allowances
+  int order_walks = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(EEND_SOURCE_DIR)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path());
+    const std::string rel =
+        fs::relative(entry.path(), EEND_SOURCE_DIR).generic_string();
+    bool pending = false;  // an allowance waits for its guarded code line
+    for (std::string line; std::getline(in, line);) {
+      const auto code = line.find_first_not_of(' ');
+      if (line.find(tag) != std::string::npos) {
+        ++found[rel];
+        pending = true;
+      } else if (pending && code != std::string::npos &&
+                 line.compare(code, 2, "//") != 0) {
+        order_walks += line.find(": order_)") != std::string::npos;
+        pending = false;
+      }
+    }
+  }
+  const std::map<std::string, int> pinned{{"lint/lint.hpp", 1},
+                                          {"routing/dsdv.cpp", 4},
+                                          {"routing/reactive.cpp", 1}};
+  EXPECT_EQ(found, pinned);
+  EXPECT_EQ(order_walks, 4);
 }
